@@ -23,8 +23,17 @@ Gradient conventions (ascent direction, i.e. gradients of the log density):
     d log p / d w_i    = sum_j r_ij (mu_j - w_i) / var_j
     d log p / d mu_j   = sum_i r_ij (w_i - mu_j) / var_j
     d log p / d rho_j  = sum_i r_ij ((w_i - mu_j)^2 / var_j - 1) / 2
-    d log p / d l_k    = sum_i (r_ik - pi-term), see _mixture_grads
+    d log p / d l_k    = sum_i (r_ik - pi-term), see prior_pass
 where r_ij is the responsibility of component j for weight i.
+
+One kernel, prior_pass, serves log_prior, prior_grads, subsampled_prior_grads
+and postprocess.quantize; responsibilities shares its per-chunk step. It
+walks the weights in chunks of CHUNK, each laid out component-major in
+reused (J+1, chunk) buffers, so no (I, J+1) matrix is built. Per chunk it
+forms d_ij = w_i - mu_j, the log joint from d (a quadratic in w would
+round exact ties apart), and r by a per-weight log-sum-exp, then adds up
+what was asked for: the log prior, the per-weight gradient, the sums of
+r, r d and r d^2 per component, and the argmax of r.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 # Widening applied to a degenerate (min == max) pre-trained weight range.
 DEGENERATE_RANGE_PAD = 1e-2
+
+# Weights per step of prior_pass. Its three (J+1, CHUNK) float64 buffers,
+# about 0.5 MB each at J+1 = 17, stay in cache across the step's passes.
+CHUNK = 4096
 
 
 @dataclass
@@ -208,36 +221,6 @@ def init_mixture(weights, n_free: int, pi0: float, weight_decay: float,
     return MixtureModel(means, log_vars, logits, pi0, pi0_trainable, tau)
 
 
-def _log_joint_matrix(w: np.ndarray, m: MixtureModel) -> np.ndarray:
-    """(I, J+1) matrix of log(pi_j N(w_i | mu_j, var_j))."""
-    log_pi = np.log(m.mixing_proportions())
-    inv_var = np.exp(-m.log_vars)
-    d = w[:, None] - m.means[None, :]
-    return (log_pi - 0.5 * (m.log_vars + LOG_2PI))[None, :] - 0.5 * (d * d) * inv_var[None, :]
-
-
-def log_prior(w, m: MixtureModel) -> float:
-    """log p(w) = sum_i log sum_j pi_j N(w_i | mu_j, var_j), via log-sum-exp."""
-    w = np.asarray(w, dtype=np.float64).ravel()
-    ll = _log_joint_matrix(w, m)
-    mx = ll.max(axis=1)
-    per_weight = mx + np.log(np.exp(ll - mx[:, None]).sum(axis=1))
-    if not np.all(np.isfinite(per_weight)):
-        bad = int(np.flatnonzero(~np.isfinite(per_weight))[0])
-        raise NumericError(f"non-finite log prior at weight index {bad}")
-    return float(per_weight.sum())
-
-
-def responsibilities(w, m: MixtureModel) -> np.ndarray:
-    """(I, J+1) posterior component probabilities per weight, rows sum to 1."""
-    w = np.asarray(w, dtype=np.float64).ravel()
-    ll = _log_joint_matrix(w, m)
-    ll -= ll.max(axis=1, keepdims=True)
-    np.exp(ll, out=ll)
-    ll /= ll.sum(axis=1, keepdims=True)
-    return ll
-
-
 def hyper_log_density(m: MixtureModel, h: HyperPriorConfig) -> float:
     """Sum of the enabled hyper-prior log densities at the current mixture state."""
     total = 0.0
@@ -297,80 +280,95 @@ def hyper_grads(m: MixtureModel, h: HyperPriorConfig):
     return d_log_vars, d_logits
 
 
-class PriorWorkspace:
-    """Reusable scratch buffers for repeated gradient evaluations.
+def _component_terms(m: MixtureModel):
+    """Per-component columns (J+1, 1): mu_j, -1/(2 var_j), log pi_j - log(2 pi var_j)/2."""
+    const = np.log(m.mixing_proportions()) - 0.5 * (m.log_vars + LOG_2PI)
+    return m.means[:, None], (-0.5 * np.exp(-m.log_vars))[:, None], const[:, None]
 
-    Training calls prior_grads once per step with identical shapes; reusing
-    the (I, J+1) temporaries keeps the allocator out of the hot loop.
+
+def _posterior(x: np.ndarray, terms, d: np.ndarray, r: np.ndarray, start: int = 0):
+    """Fill the (J+1, n) buffers d with x_i - mu_j and r with the responsibilities.
+
+    Returns log p(x_i) per weight; a non-finite one (a NaN or infinite
+    weight) raises NumericError naming its flat index, start + i.
     """
-
-    def __init__(self):
-        self._bufs = {}
-
-    def get(self, name, shape):
-        buf = self._bufs.get(name)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape)
-            self._bufs[name] = buf
-        return buf
-
-
-def _mixture_grads(w: np.ndarray, m: MixtureModel, work: PriorWorkspace):
-    """Gradients of log p(w) w.r.t. weights and mixture parameters (no hyper terms)."""
-    i, k = w.shape[0], m.n_components
-    pi = m.mixing_proportions()
-    inv_var = np.exp(-m.log_vars)
-    const = np.log(pi) - 0.5 * (m.log_vars + LOG_2PI)
-
-    d = work.get("d", (i, k))
-    np.subtract(w[:, None], m.means[None, :], out=d)
-    q = work.get("q", (i, k))
-    np.multiply(d, d, out=q)
-    q *= inv_var[None, :]
-    # r starts as the log joint, becomes the responsibility matrix in place
-    r = work.get("r", (i, k))
-    np.multiply(q, -0.5, out=r)
-    r += const[None, :]
-    mx = r.max(axis=1)
-    r -= mx[:, None]
+    mu, neg_half_inv_var, const = terms
+    np.subtract(x, mu, out=d)
+    np.multiply(d, d, out=r)
+    r *= neg_half_inv_var
+    r += const
+    mx = r.max(axis=0)
+    r -= mx
     np.exp(r, out=r)
-    rowsum = r.sum(axis=1)
-    if not (np.all(np.isfinite(rowsum)) and np.all(rowsum > 0.0)):
-        bad = int(np.flatnonzero(~(np.isfinite(rowsum) & (rowsum > 0.0)))[0])
-        raise NumericError(f"non-finite prior density at weight index {bad}")
-    r /= rowsum[:, None]
-
-    log_prior_value = float(mx.sum() + np.log(rowsum).sum())
-
-    col_r = r.sum(axis=0)
-    # t = r * d * inv_var, folded into d
-    d *= r
-    d *= inv_var[None, :]
-    d_weights = -d.sum(axis=1)
-    d_means = d.sum(axis=0)
-    d_means[0] = 0.0
-
-    q *= r
-    d_log_vars = 0.5 * (q.sum(axis=0) - col_r)
-
-    d_logits = np.zeros(k)
-    if m.pi0_trainable:
-        d_logits[:] = col_r - i * pi
-    else:
-        s = _softmax(m.logits[1:])
-        d_logits[1:] = col_r[1:] - s * (i - col_r[0])
-    return PriorGrads(d_weights, d_means, d_log_vars, d_logits), log_prior_value
+    norm = r.sum(axis=0)
+    r /= norm
+    per_weight = mx + np.log(norm)
+    if not np.isfinite(per_weight).all():
+        bad = start + int(np.flatnonzero(~np.isfinite(per_weight))[0])
+        raise NumericError(f"non-finite log prior at weight index {bad}")
+    return per_weight
 
 
-def prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig] = None,
-                work: Optional[PriorWorkspace] = None) -> PriorGrads:
-    """Exact gradients of log p(w) plus any enabled hyper-prior densities.
+def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
+    """The one chunked pass over the weights (see the module docstring).
 
-    Fixed quantities get zero gradient: d_means[0] always, d_logits[0]
-    when pi_0 is fixed.
+    Returns (log p(w), PriorGrads or None, assignments or None). The
+    gradients cover the mixture only, no hyper-prior terms; assignments
+    hold each weight's argmax-responsibility component, ties to the lower
+    index.
     """
     w = np.asarray(w, dtype=np.float64).ravel()
-    g, _ = _mixture_grads(w, m, work or PriorWorkspace())
+    total, k = w.shape[0], m.n_components
+    terms = _component_terms(m)
+    inv_var = np.exp(-m.log_vars)
+    bufs = np.empty((3, k * min(CHUNK, total)))
+    log_p = 0.0
+    # per component: sum_i r_ij, sum_i r_ij d_ij, sum_i r_ij d_ij^2
+    sums = np.zeros((3, k))
+    d_weights = np.empty(total) if grads else None
+    assignments = np.empty(total, dtype=np.int64) if assign else None
+    for start in range(0, total, CHUNK):
+        x = w[start:start + CHUNK]
+        n = x.shape[0]
+        d, r, t = (b[:k * n].reshape(k, n) for b in bufs)
+        log_p += float(_posterior(x, terms, d, r, start).sum())
+        if assign:
+            assignments[start:start + n] = r.argmax(axis=0)
+        if grads:
+            sums[0] += r.sum(axis=1)
+            np.multiply(r, d, out=t)
+            sums[1] += t.sum(axis=1)
+            sums[2] += np.einsum("jn,jn->j", t, d)
+            np.dot(-inv_var, t, out=d_weights[start:start + n])
+    if not grads:
+        return log_p, None, assignments
+
+    col_r = sums[0]
+    d_means = sums[1] * inv_var
+    d_means[0] = 0.0
+    d_log_vars = 0.5 * (sums[2] * inv_var - col_r)
+    d_logits = np.zeros(k)
+    if m.pi0_trainable:
+        d_logits[:] = col_r - total * m.mixing_proportions()
+    else:
+        d_logits[1:] = col_r[1:] - _softmax(m.logits[1:]) * (total - col_r[0])
+    return log_p, PriorGrads(d_weights, d_means, d_log_vars, d_logits), assignments
+
+
+def log_prior(w, m: MixtureModel) -> float:
+    """log p(w) = sum_i log sum_j pi_j N(w_i | mu_j, var_j), via log-sum-exp."""
+    return prior_pass(w, m)[0]
+
+
+def responsibilities(w, m: MixtureModel) -> np.ndarray:
+    """(I, J+1) posterior component probabilities per weight, rows sum to 1."""
+    w = np.asarray(w, dtype=np.float64).ravel()
+    d, r = np.empty((2, m.n_components, w.shape[0]))
+    _posterior(w, _component_terms(m), d, r)
+    return r.T
+
+
+def _add_hyper(g: PriorGrads, m: MixtureModel, h: Optional[HyperPriorConfig]) -> PriorGrads:
     if h is not None and h.any_enabled:
         d_lv, d_lg = hyper_grads(m, h)
         g.d_log_vars += d_lv
@@ -378,9 +376,17 @@ def prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig] = None,
     return g
 
 
+def prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig] = None) -> PriorGrads:
+    """Exact gradients of log p(w) plus any enabled hyper-prior densities.
+
+    Fixed quantities get zero gradient: d_means[0] always, d_logits[0]
+    when pi_0 is fixed.
+    """
+    return _add_hyper(prior_pass(w, m, grads=True)[1], m, h)
+
+
 def subsampled_prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig],
-                           k: int, rng: np.random.Generator,
-                           work: Optional[PriorWorkspace] = None) -> PriorGrads:
+                           k: int, rng: np.random.Generator) -> PriorGrads:
     """Unbiased estimate of prior_grads from k weights sampled without replacement.
 
     The sampled contribution is scaled by I/k; hyper-prior terms do not
@@ -391,18 +397,11 @@ def subsampled_prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig],
     if not 1 <= k <= total:
         raise ConfigurationError(f"subsample size {k} outside [1, {total}]")
     if k == total:
-        return prior_grads(w, m, h, work)
+        return prior_grads(w, m, h)
     idx = rng.choice(total, size=k, replace=False)
-    g, _ = _mixture_grads(w[idx], m, work or PriorWorkspace())
+    g = prior_pass(w[idx], m, grads=True)[1]
     scale = total / k
     d_weights = np.zeros(total)
     d_weights[idx] = g.d_weights * scale
-    g.d_weights = d_weights
-    g.d_means = g.d_means * scale
-    g.d_log_vars = g.d_log_vars * scale
-    g.d_logits = g.d_logits * scale
-    if h is not None and h.any_enabled:
-        d_lv, d_lg = hyper_grads(m, h)
-        g.d_log_vars += d_lv
-        g.d_logits += d_lg
-    return g
+    g = PriorGrads(d_weights, g.d_means * scale, g.d_log_vars * scale, g.d_logits * scale)
+    return _add_hyper(g, m, h)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
-from .mixture import MixtureModel, responsibilities
+from .mixture import MixtureModel, prior_pass
 from .net import ACTIVATIONS, Layer, Network, flat_weights, split_like_weights
 
 ZERO_SNAP_TOL = 1e-4
@@ -200,12 +200,10 @@ def quantize(net: Network, m: MixtureModel) -> QuantizedNetwork:
     """Snap each weight to the mean of its argmax-responsibility component.
 
     Ties go to the lower component index, preferring the zero spike.
-    Biases pass through untouched.
+    Biases pass through untouched. A NaN or infinite weight raises
+    NumericError naming its flat index.
     """
-    w = flat_weights(net)
-    r = responsibilities(w, m)
-    flat_assign = np.argmax(r, axis=1)
-    per_layer = split_like_weights(net, flat_assign)
+    per_layer = split_like_weights(net, prior_pass(flat_weights(net), m, assign=True)[2])
     means = m.means.copy()
     means[0] = 0.0
     layers = [

@@ -29,14 +29,14 @@ from .errors import ConfigurationError, DivergenceError
 from .mixture import (
     HyperPriorConfig,
     MixtureModel,
-    PriorWorkspace,
     hyper_grads,
     hyper_log_density,
     log_prior,
     prior_grads,
     subsampled_prior_grads,
 )
-from .net import Batch, Network, error_loss_and_grad, evaluate, flat_weights, iter_batches
+from .net import (Batch, Network, error_loss_and_grad, evaluate, flat_weights, iter_batches,
+                  split_like_weights)
 
 VARIANCE_FLOOR = 1e-8
 
@@ -134,17 +134,6 @@ def complexity_loss(net: Network, mixture: MixtureModel,
     return -total
 
 
-def _scatter_weight_grads(net: Network, flat: np.ndarray):
-    """Split a flat per-weight vector into per-layer matrices."""
-    out = []
-    pos = 0
-    for layer in net.layers:
-        n = layer.weights.size
-        out.append(flat[pos:pos + n].reshape(layer.weights.shape))
-        pos += n
-    return out
-
-
 def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
             config: TrainConfig, hyper: Optional[HyperPriorConfig] = None,
             test_data: Optional[Batch] = None,
@@ -171,7 +160,6 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
     adam_log_vars = AdamState(mixture.log_vars.shape, config.lr_log_vars)
     adam_logits = AdamState(mixture.logits.shape, config.lr_logits)
 
-    work = PriorWorkspace()
     log_floor = math.log(VARIANCE_FLOOR)
     mixture_lr_scale = 1.0
     lr_cut_done = False
@@ -195,10 +183,9 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
             if use_prior:
                 w = flat_weights(net)
                 if config.subsample and config.subsample < w.shape[0]:
-                    g = subsampled_prior_grads(w, mixture, hyper, config.subsample,
-                                               rng, work)
+                    g = subsampled_prior_grads(w, mixture, hyper, config.subsample, rng)
                 else:
-                    g = prior_grads(w, mixture, hyper, work)
+                    g = prior_grads(w, mixture, hyper)
                 d_means = tau * g.d_means
                 d_log_vars = tau * g.d_log_vars
                 d_logits = tau * g.d_logits
@@ -208,7 +195,7 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
                     h_lv, h_lg = hyper_grads(mixture, hyper)
                     d_log_vars += (1.0 - tau) * h_lv
                     d_logits += (1.0 - tau) * h_lg
-                prior_w = _scatter_weight_grads(net, g.d_weights)
+                prior_w = split_like_weights(net, g.d_weights)
             else:
                 prior_w = None
 

@@ -18,6 +18,7 @@ from scipy.stats import norm
 
 from softshare.errors import ConfigurationError, NumericError
 from softshare.mixture import (
+    CHUNK,
     HyperPriorConfig,
     MixtureModel,
     beta_params_from_mode_pseudocount,
@@ -27,9 +28,11 @@ from softshare.mixture import (
     init_mixture,
     log_prior,
     prior_grads,
+    prior_pass,
     responsibilities,
     subsampled_prior_grads,
 )
+from softshare.train import VARIANCE_FLOOR
 
 
 def _mix(rng, n_free=4, pi0=0.9, trainable=False):
@@ -222,6 +225,76 @@ def test_log_prior_names_offending_weight():
     w[7] = np.nan
     with pytest.raises(NumericError, match="index 7"):
         log_prior(w, m)
+
+
+def _reference_pass(w, m):
+    """Direct weight-major (I, J+1) evaluation of everything prior_pass returns.
+
+    Each value comes with the sum of the absolute terms it adds up, the
+    scale its rounding error is relative to when the terms cancel.
+    """
+    pi = m.mixing_proportions()
+    inv_var = np.exp(-m.log_vars)
+    d = w[:, None] - m.means[None, :]
+    q = d * d * inv_var
+    ll = np.log(pi) - 0.5 * (m.log_vars + math.log(2.0 * math.pi)) - 0.5 * q
+    mx = ll.max(axis=1)
+    e = np.exp(ll - mx[:, None])
+    per_weight = mx + np.log(e.sum(axis=1))
+    r = e / e.sum(axis=1, keepdims=True)
+    rd = r * d * inv_var
+    col_r = r.sum(axis=0)
+    n = w.shape[0]
+    if m.pi0_trainable:
+        d_logits = col_r - n * pi
+    else:
+        d_logits = np.zeros_like(pi)
+        d_logits[1:] = col_r[1:] - pi[1:] / (1.0 - pi[0]) * (n - col_r[0])
+    d_means = rd.sum(axis=0)
+    d_means[0] = 0.0
+    return {
+        "log_prior": (per_weight.sum(), np.abs(per_weight).sum()),
+        "d_weights": (-rd.sum(axis=1), np.abs(rd).sum(axis=1)),
+        "d_means": (d_means, np.abs(rd).sum(axis=0)),
+        "d_log_vars": (0.5 * (r * (q - 1.0)).sum(axis=0), 0.5 * (r * (q + 1.0)).sum(axis=0)),
+        "d_logits": (d_logits, np.full_like(pi, 2.0 * n)),
+        "argmax": r.argmax(axis=1),
+    }
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+@pytest.mark.parametrize("var", [VARIANCE_FLOOR, 1e-2])
+@pytest.mark.parametrize("trainable", [False, True])
+def test_prior_pass_matches_weight_major_reference(n, var, trainable):
+    rng = np.random.default_rng(n)
+    m = _mix(rng, n_free=16, trainable=trainable)
+    m.log_vars[:] = math.log(var)
+    # half the weights spread over the range, half within a few sd of a mean
+    w = rng.normal(0.0, 0.4, n)
+    near = rng.random(n) < 0.5
+    w[near] = m.means[rng.integers(0, m.n_components, n)][near] \
+        + math.sqrt(var) * rng.normal(0.0, 2.0, n)[near]
+
+    log_p, g, assignments = prior_pass(w, m, grads=True, assign=True)
+    ref = _reference_pass(w, m)
+    got = {"log_prior": log_p, "d_weights": g.d_weights, "d_means": g.d_means,
+           "d_log_vars": g.d_log_vars, "d_logits": g.d_logits}
+    for name, value in got.items():
+        want, scale = ref[name]
+        assert np.all(np.abs(value - want) <= 1e-9 * scale), name
+    np.testing.assert_array_equal(assignments, ref["argmax"])
+    assert log_prior(w, m) == log_p
+    np.testing.assert_array_equal(prior_pass(w, m, assign=True)[2], assignments)
+
+
+def test_non_finite_weight_index_spans_chunks():
+    rng = np.random.default_rng(42)
+    m = _mix(rng)
+    w = rng.normal(0.0, 0.3, 2 * CHUNK)
+    w[CHUNK + 7] = np.nan
+    for evaluate in (log_prior, prior_grads):
+        with pytest.raises(NumericError, match=rf"index {CHUNK + 7}$"):
+            evaluate(w, m)
 
 
 def test_validator_rejects_nonzero_spike_mean():

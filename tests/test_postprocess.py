@@ -11,7 +11,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from softshare.errors import ConfigurationError, DataFormatError
+from softshare.errors import ConfigurationError, DataFormatError, NumericError
 from softshare.mixture import MixtureModel, responsibilities
 from softshare.net import Layer, Network, flat_weights
 from softshare.postprocess import (
@@ -192,6 +192,24 @@ def test_quantize_assigns_by_responsibility_argmax():
     r = responsibilities(flat_weights(net), m)
     np.testing.assert_array_equal(q.layers[0].assignments.ravel(),
                                   np.argmax(r, axis=1))
+
+
+def test_quantize_rejects_non_finite_weights():
+    net, m = _snap_fixture()
+    net.layers[0].weights[1, 1] = np.nan   # flat index 5
+    net.layers[0].weights[1, 2] = np.inf   # flat index 6
+    with pytest.raises(NumericError, match=r"index 5$"):
+        quantize(net, m)
+
+
+def test_quantize_exact_ties_go_to_the_lower_index():
+    # one softmax over equal logits: all three masses are exactly 1/3
+    m = MixtureModel(np.array([0.0, 0.25, 0.75]), np.log(np.full(3, 1e-2)),
+                     np.zeros(3), 1 / 3, pi0_trainable=True)
+    # 0.5 is midway between 0.25 and 0.75; 0.125 between the spike and 0.25
+    net = Network([Layer(np.array([[0.5, 0.125]]), np.zeros(1), "softmax")])
+    q = quantize(net, m)
+    np.testing.assert_array_equal(q.layers[0].assignments, [[1, 0]])
 
 
 def test_quantized_network_materializes_table_values():
