@@ -1,6 +1,6 @@
 """Micro-benchmark of the mixture-prior kernel on the reference shape.
 
-    python3 benchmarks/bench_mixture.py [--repeats 15] [--out BENCH_2.json]
+    python3 benchmarks/bench_mixture.py [--out BENCH_2.json]
 
 Times three calls on a seeded 784-300-100-10 network (I = 266,200 weights)
 under a 17-component mixture (16 free components plus the zero spike):
@@ -9,12 +9,14 @@ under a 17-component mixture (16 free components plus the zero spike):
     log_prior    the log prior inside one epoch's complexity loss
     quantize     the argmax assignment of every weight
 
-Each call runs once untimed, then --repeats times. The median and min of the
-timed runs go to the JSON file, with the Python, numpy and BLAS versions, the
-BLAS thread variables, the CPU model and the usable CPU count. The script
+Each call runs once untimed, then REPEATS times. The median and min of the
+timed runs go to the JSON file, with the environment record of
+perfbench/run.py: the Python, numpy and BLAS versions, the BLAS thread
+variables, the usable CPU count, the CPU model and the git commit. The script
 imports softshare from the src/ directory of the checkout it sits in, so a
-copy of it measures the checkout it is copied into. It changes no thread setting: set
-OPENBLAS_NUM_THREADS in its environment to pin the BLAS thread count.
+copy of it measures the checkout it is copied into. It changes no thread
+setting: set OPENBLAS_NUM_THREADS in its environment to pin the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import sys
 import time
@@ -30,9 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-import numpy as np  # noqa: E402
-
+import run  # noqa: E402
 from softshare.mixture import init_mixture, log_prior, prior_grads  # noqa: E402
 from softshare.net import flat_weights, make_network  # noqa: E402
 from softshare.postprocess import quantize  # noqa: E402
@@ -40,65 +41,35 @@ from softshare.postprocess import quantize  # noqa: E402
 SIZES = (784, 300, 100, 10)
 N_FREE = 16
 PI0 = 0.95
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+REPEATS = 15
 
 
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
-def environment() -> dict:
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count()
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
-        "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS},
-        "usable_cpus": cpus,
-        "cpu": cpu_model(),
-    }
-
-
-def time_call(fn, repeats: int) -> dict:
+def time_call(fn) -> dict:
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return {"median_ms": 1e3 * statistics.median(times), "min_ms": 1e3 * min(times),
-            "repeats": repeats}
+            "repeats": REPEATS}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeats", type=int, default=15)
     ap.add_argument("--out", default="BENCH_2.json")
     args = ap.parse_args(argv)
-    if args.repeats < 10:
-        ap.error("--repeats must be at least 10")
 
     net = make_network(SIZES, seed=0)
     w = flat_weights(net)
     m = init_mixture(w, N_FREE, PI0, weight_decay=0.0)
     result = {
         "shape": {"weights": int(w.size), "components": m.n_components},
-        "environment": environment(),
+        "environment": run.environment({v: os.environ.get(v) for v in run.THREAD_VARS}),
         "kernels": {
-            "prior_grads": time_call(lambda: prior_grads(w, m), args.repeats),
-            "log_prior": time_call(lambda: log_prior(w, m), args.repeats),
-            "quantize": time_call(lambda: quantize(net, m), args.repeats),
+            "prior_grads": time_call(lambda: prior_grads(w, m)),
+            "log_prior": time_call(lambda: log_prior(w, m)),
+            "quantize": time_call(lambda: quantize(net, m)),
         },
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")

@@ -298,11 +298,12 @@ def _posterior(x: np.ndarray, terms, d: np.ndarray, r: np.ndarray, start: int = 
     r *= neg_half_inv_var
     r += const
     mx = r.max(axis=0)
-    r -= mx
-    np.exp(r, out=r)
-    norm = r.sum(axis=0)
-    r /= norm
-    per_weight = mx + np.log(norm)
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite weight
+        r -= mx
+        np.exp(r, out=r)
+        norm = r.sum(axis=0)
+        r /= norm
+        per_weight = mx + np.log(norm)
     if not np.isfinite(per_weight).all():
         bad = start + int(np.flatnonzero(~np.isfinite(per_weight))[0])
         raise NumericError(f"non-finite log prior at weight index {bad}")

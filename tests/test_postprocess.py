@@ -5,6 +5,7 @@ independent of the closed form under test. Merge identities are checked
 against moment sums computed directly from the parent mixture.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,12 +195,14 @@ def test_quantize_assigns_by_responsibility_argmax():
                                   np.argmax(r, axis=1))
 
 
-def test_quantize_rejects_non_finite_weights():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite_weights(bad):
     net, m = _snap_fixture()
-    net.layers[0].weights[1, 1] = np.nan   # flat index 5
-    net.layers[0].weights[1, 2] = np.inf   # flat index 6
-    with pytest.raises(NumericError, match=r"index 5$"):
-        quantize(net, m)
+    net.layers[0].weights[1, 1] = bad   # flat index 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"index 5$"):
+            quantize(net, m)
 
 
 def test_quantize_exact_ties_go_to_the_lower_index():
