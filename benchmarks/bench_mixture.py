@@ -63,9 +63,12 @@ def main(argv=None) -> int:
     net = make_network(SIZES, seed=0)
     w = flat_weights(net)
     m = init_mixture(w, N_FREE, PI0, weight_decay=0.0)
+    env = run.environment({v: os.environ.get(v) for v in run.THREAD_VARS})
+    if isinstance(env["blas"], dict):  # keep name and version, not build directories
+        env["blas"] = f"{env['blas'].get('name', 'unknown')} {env['blas'].get('version', '')}".strip()
     result = {
         "shape": {"weights": int(w.size), "components": m.n_components},
-        "environment": run.environment({v: os.environ.get(v) for v in run.THREAD_VARS}),
+        "environment": env,
         "kernels": {
             "prior_grads": time_call(lambda: prior_grads(w, m)),
             "log_prior": time_call(lambda: log_prior(w, m)),
