@@ -289,9 +289,8 @@ def _component_terms(m: MixtureModel):
 def _posterior(x: np.ndarray, terms, d: np.ndarray, r: np.ndarray, start: int = 0):
     """Fill the (J+1, n) buffers d with x_i - mu_j and r with the responsibilities.
 
-    Returns log p(x_i) per weight; a non-finite one (a NaN or infinite
-    weight) raises NumericError naming its flat index, start + i.
-    """
+    Returns log p(x_i) per weight; a non-finite one (a NaN or infinite weight)
+    raises NumericError naming its flat index, start + i."""
     mu, neg_half_inv_var, const = terms
     np.subtract(x, mu, out=d)
     np.multiply(d, d, out=r)
