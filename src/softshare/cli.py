@@ -20,20 +20,12 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .codec import encode_network
+from .checkpoint import load_checkpoint
 from .config import ExperimentConfig, load_config
 from .errors import ConfigurationError, DataFormatError, NumericError
-from .mixture import init_mixture
-from .net import evaluate, flat_weights
-from .pipeline import (
-    evaluate_blob,
-    load_dataset,
-    pretrain_network,
-    run_pipeline,
-)
-from .postprocess import load_quantized, merge_pass, quantize, save_quantized
-from .train import retrain, trace_to_csv
+from .net import evaluate
+from .pipeline import _pretrained_path, evaluate_blob, load_dataset, \
+    run_pipeline, stage_compress, stage_encode, stage_pretrain
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -88,50 +80,17 @@ def cmd_run(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load(args)
-    emit = _emit(args)
     data = load_dataset(cfg)
-    net = pretrain_network(
-        cfg, data, lambda ep, err: emit(f"epoch {ep}: test error {err:.4f}"))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(net, out / "pretrained.swsc")
+    net = stage_pretrain(cfg, data, _emit(args))
     print(f"test error {evaluate(net, data.test):.4f}")
     return 0
 
 
-def _pretrained_path(cfg: ExperimentConfig) -> Path:
-    if cfg.pretrained_checkpoint:
-        return Path(cfg.pretrained_checkpoint)
-    return Path(cfg.output_dir) / "pretrained.swsc"
-
-
 def cmd_compress(args) -> int:
     cfg = _load(args)
-    emit = _emit(args)
     data = load_dataset(cfg)
-    path = _pretrained_path(cfg)
-    if not path.exists():
-        raise ConfigurationError(
-            f"no pretrained checkpoint at {path}; run pretrain first")
-    net, _, _ = load_checkpoint(path)
-
-    mixture = init_mixture(flat_weights(net), cfg.n_components, cfg.pi0,
-                           cfg.weight_decay, tau=cfg.tau,
-                           pi0_trainable=cfg.pi0_trainable)
-    hyper = cfg.hyper_config()
-    net, mixture, trace = retrain(
-        net, mixture, data.train, cfg.train_config(), hyper, data.test,
-        on_epoch=lambda r: emit(
-            f"epoch {r.epoch}: error loss {r.error_loss:.4f} "
-            f"test error {r.test_error:.4f}"))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(net, out / "model.swsc", mixture, hyper)
-    (out / "trace.csv").write_text(trace_to_csv(trace))
-    merged = merge_pass(mixture, cfg.merge_config())
-    q = quantize(net, merged)
-    save_quantized(q, out / "quantized.bin")
-    print(f"components {merged.n_components}, "
+    q = stage_compress(cfg, data, _emit(args))
+    print(f"components {q.means.shape[0]}, "
           f"pruned {q.prune_fraction():.4f}, "
           f"test error {evaluate(q.to_network(), data.test):.4f}")
     return 0
@@ -139,17 +98,9 @@ def cmd_compress(args) -> int:
 
 def cmd_encode(args) -> int:
     cfg = _load(args)
-    out = Path(cfg.output_dir)
-    qpath = out / "quantized.bin"
-    if not qpath.exists():
-        raise ConfigurationError(f"no quantized model at {qpath}; run compress first")
-    q = load_quantized(qpath)
-    blob, report = encode_network(q, cfg.p_fc, cfg.p_conv)
-    (out / "weights.swsb").write_bytes(blob)
-    (out / "report.json").write_text(
-        json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
-    print(f"compression rate {report.compression_rate:.2f} "
-          f"({report.total_bits} bits)")
+    report = stage_encode(cfg, load_dataset(cfg), _emit(args))
+    print(f"compression rate {report['compression_rate']:.2f} "
+          f"({report['total_bits']} bits)")
     return 0
 
 

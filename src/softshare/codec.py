@@ -534,6 +534,8 @@ def decode_layer(cur: _ByteCursor) -> np.ndarray:
         raise DecodeError(f"unknown layer tag {tag}")
     if not 1 <= p <= 16:
         raise DecodeError(f"index bit width {p} outside [1, 16]")
+    if pp != p_prun_for(nnz):
+        raise DecodeError(f"IR bit width {pp} is not the width for nnz {nnz}")
     ir_bytes = cur.take((pp * (rows + 1) + 7) // 8)
     reader = BitReader(ir_bytes)
     ir = np.array([reader.read(pp) for _ in range(rows + 1)], dtype=np.int64)

@@ -1,7 +1,14 @@
-"""End-to-end orchestration: pretrain, retrain under the prior, post-process,
-encode, evaluate, report.
+"""The pipeline as three stages from artifacts to artifacts.
 
-Artifacts land in the configured output directory under fixed names:
+Each stage reads its inputs from, and writes its outputs to, fixed names in
+the configured output directory (the pretrained baseline may instead live
+at ``pretrained_checkpoint``):
+
+    stage_pretrain   data                    -> pretrained.swsc
+    stage_compress   data, pretrained.swsc   -> model.swsc, trace.csv,
+                                                quantized.bin
+    stage_encode     data, pretrained.swsc,  -> weights.swsb, report.json
+                     quantized.bin
 
     pretrained.swsc   plain pretrained network
     model.swsc        retrained network with the mixture block appended
@@ -10,11 +17,14 @@ Artifacts land in the configured output directory under fixed names:
     weights.swsb      bit-packed sparse encoding of the quantized weights
     report.json       compression accounting plus before/after test error
 
-Stage failures raise with the stage name prefixed; artifacts written by
-earlier stages stay on disk. Reported error_before evaluates the loaded
-pretrained checkpoint; error_after evaluates the network rebuilt from the
-decoded blob plus the stored biases, so the report measures exactly what a
-consumer of the artifacts would see.
+run_pipeline loads the data once, pretrains only when no baseline exists,
+then compresses and encodes; the stagewise CLI calls the same stages one
+at a time, so both write the same bytes. In run_pipeline a failure raises
+with the stage name prefixed; artifacts written by earlier stages stay on
+disk. Reported error_before evaluates the stored pretrained checkpoint;
+error_after evaluates the network rebuilt from the decoded blob plus the
+stored biases, so the report measures exactly what a consumer of the
+artifacts would see.
 """
 
 from __future__ import annotations
@@ -34,8 +44,11 @@ from .errors import ConfigurationError, SoftShareError
 from .mixture import init_mixture
 from .net import Batch, Layer, Network, error_loss_and_grad, evaluate, \
     flat_weights, iter_batches, make_network
-from .postprocess import load_quantized, merge_pass, quantize, save_quantized
-from .train import AdamState, TraceRow, retrain, trace_to_csv
+from .postprocess import QuantizedNetwork, load_quantized, merge_pass, \
+    quantize, save_quantized
+from .train import AdamState, retrain, trace_to_csv
+
+Emit = Callable[[str], None]
 
 
 @dataclass
@@ -78,9 +91,77 @@ def pretrain_network(cfg: ExperimentConfig, data: MnistDataset,
     return net
 
 
-def _stage(name: str, fn, *args, **kwargs):
+def _pretrained_path(cfg: ExperimentConfig) -> Path:
+    """Where the baseline lives: the configured checkpoint, if any."""
+    if cfg.pretrained_checkpoint:
+        return Path(cfg.pretrained_checkpoint)
+    return Path(cfg.output_dir) / "pretrained.swsc"
+
+
+def _out(cfg: ExperimentConfig) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def stage_pretrain(cfg: ExperimentConfig, data: MnistDataset,
+                   emit: Emit) -> Network:
+    emit("pretraining")
+    net = pretrain_network(
+        cfg, data, lambda ep, err: emit(f"pretrain epoch {ep}: test error {err:.4f}"))
+    save_checkpoint(net, _out(cfg) / "pretrained.swsc")
+    return net
+
+
+def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
+                   emit: Emit) -> QuantizedNetwork:
+    path = _pretrained_path(cfg)
+    if not path.exists():
+        raise ConfigurationError(
+            f"no pretrained checkpoint at {path}; run pretrain first")
+    net, _, _ = load_checkpoint(path)
+    mixture = init_mixture(flat_weights(net), cfg.n_components, cfg.pi0,
+                           cfg.weight_decay, tau=cfg.tau,
+                           pi0_trainable=cfg.pi0_trainable)
+    hyper = cfg.hyper_config()
+    net, mixture, trace = retrain(
+        net, mixture, data.train, cfg.train_config(), hyper, data.test,
+        on_epoch=lambda r: emit(
+            f"retrain epoch {r.epoch}: error loss {r.error_loss:.4f} "
+            f"complexity {r.complexity_loss:.1f} test error {r.test_error:.4f}"))
+    out = _out(cfg)
+    save_checkpoint(net, out / "model.swsc", mixture, hyper)
+    (out / "trace.csv").write_text(trace_to_csv(trace))
+    merged = merge_pass(mixture, cfg.merge_config())
+    emit(f"components after merging: {merged.n_components}")
+    q = quantize(net, merged)
+    save_quantized(q, out / "quantized.bin")
+    return q
+
+
+def stage_encode(cfg: ExperimentConfig, data: MnistDataset, emit: Emit) -> dict:
+    out = Path(cfg.output_dir)
+    qpath, bpath = out / "quantized.bin", out / "weights.swsb"
+    if not qpath.exists():
+        raise ConfigurationError(f"no quantized model at {qpath}; run compress first")
+    q = load_quantized(qpath)
+    blob, report = encode_network(q, cfg.p_fc, cfg.p_conv)
+    bpath.write_bytes(blob)
+    pretrained, _, _ = load_checkpoint(_pretrained_path(cfg))
+    report.error_before = float(evaluate(pretrained, data.test))
+    report.error_after = float(evaluate_blob(bpath, qpath, data.test))
+    emit(f"compression rate {report.compression_rate:.2f}, test error "
+         f"{report.error_before:.4f} -> {report.error_after:.4f}")
+    report_dict = report.as_dict()
+    report_dict["n_components_final"] = q.means.shape[0]
+    (out / "report.json").write_text(
+        json.dumps(report_dict, sort_keys=True, indent=2) + "\n")
+    return report_dict
+
+
+def _stage(name: str, fn, *args):
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except SoftShareError as e:
         msg = e.args[0] if e.args else ""
         e.args = (f"stage {name}: {msg}",) + e.args[1:]
@@ -88,68 +169,14 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def run_pipeline(cfg: ExperimentConfig,
-                 log: Optional[Callable[[str], None]] = None) -> PipelineResult:
+                 log: Optional[Emit] = None) -> PipelineResult:
     emit = log or (lambda s: None)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     data = _stage("load-data", load_dataset, cfg)
-
-    if cfg.pretrained_checkpoint:
-        net, _, _ = _stage("load-pretrained", load_checkpoint,
-                           cfg.pretrained_checkpoint)
-    else:
-        existing = out / "pretrained.swsc"
-        if existing.exists():
-            net, _, _ = _stage("load-pretrained", load_checkpoint, existing)
-        else:
-            emit("pretraining")
-            net = _stage(
-                "pretrain", pretrain_network, cfg, data,
-                lambda ep, err: emit(f"pretrain epoch {ep}: test error {err:.4f}"))
-            save_checkpoint(net, existing)
-    error_before = _stage("evaluate-before", evaluate, net, data.test)
-    emit(f"pretrained test error {error_before:.4f}")
-
-    mixture = _stage("init-mixture", init_mixture, flat_weights(net),
-                     cfg.n_components, cfg.pi0, cfg.weight_decay,
-                     tau=cfg.tau, pi0_trainable=cfg.pi0_trainable)
-    hyper = cfg.hyper_config()
-
-    def log_epoch(row: TraceRow):
-        emit(f"retrain epoch {row.epoch}: error loss {row.error_loss:.4f} "
-             f"complexity {row.complexity_loss:.1f} test error {row.test_error:.4f}")
-
-    net, mixture, trace = _stage("retrain", retrain, net, mixture, data.train,
-                                 cfg.train_config(), hyper, data.test,
-                                 on_epoch=log_epoch)
-    save_checkpoint(net, out / "model.swsc", mixture, hyper)
-    (out / "trace.csv").write_text(trace_to_csv(trace))
-
-    merged = _stage("merge", merge_pass, mixture, cfg.merge_config())
-    emit(f"components after merging: {merged.n_components}")
-    q = _stage("quantize", quantize, net, merged)
-    save_quantized(q, out / "quantized.bin")
-
-    blob, report = _stage("encode", encode_network, q, cfg.p_fc, cfg.p_conv)
-    (out / "weights.swsb").write_bytes(blob)
-
-    matrices = _stage("decode", decode_network, blob)
-    decoded = Network([
-        Layer(w, ql.biases.copy(), ql.activation)
-        for w, ql in zip(matrices, q.layers)
-    ])
-    error_after = _stage("evaluate-after", evaluate, decoded, data.test)
-    emit(f"compression rate {report.compression_rate:.2f}, "
-         f"test error {error_before:.4f} -> {error_after:.4f}")
-
-    report.error_before = float(error_before)
-    report.error_after = float(error_after)
-    report_dict = report.as_dict()
-    report_dict["n_components_final"] = merged.n_components
-    (out / "report.json").write_text(
-        json.dumps(report_dict, sort_keys=True, indent=2) + "\n")
-    return PipelineResult(report=report_dict, output_dir=out)
+    if not cfg.pretrained_checkpoint and not _pretrained_path(cfg).exists():
+        _stage("pretrain", stage_pretrain, cfg, data, emit)
+    _stage("compress", stage_compress, cfg, data, emit)
+    report = _stage("encode", stage_encode, cfg, data, emit)
+    return PipelineResult(report=report, output_dir=Path(cfg.output_dir))
 
 
 def evaluate_blob(blob_path, quantized_path, test: Batch) -> float:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import _Cursor
 from .errors import ConfigurationError, DataFormatError
 from .mixture import MixtureModel, prior_pass
 from .net import ACTIVATIONS, Layer, Network, flat_weights, split_like_weights
@@ -230,23 +231,6 @@ def save_quantized(q: QuantizedNetwork, path) -> None:
         f.write(b"".join(parts))
 
 
-class _Cursor:
-    def __init__(self, blob: bytes, name: str):
-        self.blob = blob
-        self.pos = 0
-        self.name = name
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise DataFormatError(f"{self.name}: truncated at byte {self.pos}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_quantized(path) -> QuantizedNetwork:
     with open(path, "rb") as f:
         cur = _Cursor(f.read(), str(path))
@@ -267,6 +251,6 @@ def load_quantized(path) -> QuantizedNetwork:
         biases = np.frombuffer(cur.take(8 * rows), dtype="<f8").copy()
         layers.append(QuantizedLayer(a.reshape(rows, cols).astype(np.int64),
                                      biases, ACTIVATIONS[tag]))
-    if cur.pos != len(cur.blob):
-        raise DataFormatError(f"{cur.name}: {len(cur.blob) - cur.pos} trailing bytes")
+    if cur.remaining:
+        raise DataFormatError(f"{cur.name}: {cur.remaining} trailing bytes")
     return QuantizedNetwork(layers, means)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-import softshare.cli as cli_mod
+import softshare.pipeline as pipeline_mod
 from softshare.cli import main
 from softshare.errors import NumericError
 
@@ -47,6 +47,23 @@ def test_stagewise_commands_chain(tiny_config_file, tmp_path, capsys):
     assert "compression rate:" in text and "layer 0:" in text
 
 
+def test_stagewise_chain_matches_run(tiny_config_file, tmp_path, capsys):
+    for stage in ("pretrain", "compress", "encode"):
+        assert main([stage, *_cfg_args(tiny_config_file), "--quiet"]) == 0
+    assert main(["report", *_cfg_args(tiny_config_file)]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("error before/after:"))
+    before, after = (float(v) for v in line.split(":")[1].split("/"))
+    assert 0.0 <= before <= 1.0 and 0.0 <= after <= 1.0
+
+    assert main(["run", *_cfg_args(tiny_config_file), "--quiet",
+                 "--set", f"output_dir={tmp_path / 'run'}"]) == 0
+    for name in ("pretrained.swsc", "model.swsc", "trace.csv",
+                 "quantized.bin", "weights.swsb", "report.json"):
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "run" / name).read_bytes()), name
+
+
 def test_set_overrides_win_over_file(tiny_config_file, tmp_path, capsys):
     rc = main(["pretrain", *_cfg_args(tiny_config_file), "--quiet",
                "--set", f"output_dir={tmp_path / 'elsewhere'}"])
@@ -86,7 +103,7 @@ def test_numeric_errors_exit_4(tiny_config_file, monkeypatch, capsys):
     def blow_up(*args, **kwargs):
         raise NumericError("loss went non-finite")
 
-    monkeypatch.setattr(cli_mod, "retrain", blow_up)
+    monkeypatch.setattr(pipeline_mod, "retrain", blow_up)
     assert main(["compress", *_cfg_args(tiny_config_file), "--quiet"]) == 4
     assert "numeric error" in capsys.readouterr().err
 

@@ -344,6 +344,16 @@ def test_decode_network_rejects_corruption():
         decode_network(blob[:8] + b"\x07" + blob[9:])
 
 
+@pytest.mark.parametrize("rows, pp", [(0xFFFFFFFF, 0), (1, 70)])
+def test_decode_rejects_ir_width_that_does_not_match_nnz(rows, pp):
+    # p_prun = 0 would loop rows + 1 times without reading a bit; p_prun =
+    # 70 overflows int64. Both must fail on the header, before the IR.
+    header = struct.pack("<BIIBBII", 0, rows, 4, 5, pp, 3, 3)
+    blob = b"SWSB" + struct.pack("<HH", 1, 1) + header + b"\xff" * 64
+    with pytest.raises(DecodeError, match="IR bit width"):
+        decode_network(blob)
+
+
 def test_report_stage_bit_accounting():
     rng = np.random.default_rng(1)
     w = _random_quantized_matrix(rng, 10, 17, 0.4)
