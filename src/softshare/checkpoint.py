@@ -68,10 +68,13 @@ def save_checkpoint(net: Network, path, mixture: Optional[MixtureModel] = None,
 
 
 class _Cursor:
-    def __init__(self, blob: bytes, name: str):
+    """Reads a byte string front to back; reading past its end raises error."""
+
+    def __init__(self, blob: bytes, name: str, error=DataFormatError):
         self.blob = blob
         self.pos = 0
         self.name = name
+        self.error = error
 
     @property
     def remaining(self) -> int:
@@ -79,7 +82,7 @@ class _Cursor:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise DataFormatError(f"{self.name}: truncated at byte {self.pos}")
+            raise self.error(f"{self.name} truncated at byte {self.pos}")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out

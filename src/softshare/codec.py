@@ -22,6 +22,16 @@ the two bit-packed payloads, everything little-endian and byte-padded per
 section. The compression report tallies exact bit counts per stage; its
 total equals the blob length times 8.
 
+Every stage works on whole arrays. Huffman decoding is table-driven
+(Moffat & Turpin 1997): the L-bit window at every bit position of a payload
+(L the longest code) gets its code length from a searchsorted on the
+canonical per-length limits, the symbol starts are the chain of next-code
+positions from bit 0 (64 at a time), and no 2^L table is built, so
+decode memory is linear in the payload bits plus the alphabet. The decoder
+first rejects code lengths above 47 (a length-L code needs Fibonacci(L + 2)
+symbols, above every u32 entry count for L > 47), over-full length tables
+(Kraft sum above 1) and streams claiming more symbols than payload bits.
+
 Compression rate baseline is 32 bits per dense weight: deployment storage
 is float32 even though compute here is float64.
 """
@@ -31,11 +41,12 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
+from .checkpoint import _Cursor
 from .errors import ConfigurationError, DecodeError
 from .postprocess import QuantizedNetwork
 
@@ -47,43 +58,72 @@ LAYER_TAG_CONV = 1
 
 DENSE_BITS_PER_WEIGHT = 32
 
+MAX_CODE_LENGTH = 47   # longest Huffman code a decoder accepts
+MAX_FIELD_BITS = 57    # widest field read: 64 bits from the byte it starts in
+
 # Per-layer fixed header: tag u8, rows u32, cols u32, p u8, p_prun u8,
 # nnz u32, n_entries u32.
-_LAYER_HEADER = struct.Struct("<BIIBBII")
+_LAYER_HEADER = "<BIIBBII"
+
+
+def _pack_bits(values, widths) -> tuple[bytes, int]:
+    """Each value in its width of bits, MSB-first and back to back; the
+    last byte is zero-padded. Returns the bytes and the exact bit count."""
+    widths = np.asarray(widths, dtype=np.int64)
+    ends = np.cumsum(widths)        # bit offset after each value
+    nbits = int(ends[-1]) if ends.size else 0
+    shift = (np.repeat(ends, widths) - np.arange(1, nbits + 1)).astype(np.uint64)
+    bits = np.repeat(np.asarray(values, dtype=np.uint64), widths) >> shift
+    return np.packbits((bits & np.uint64(1)).astype(np.uint8)).tobytes(), nbits
+
+
+def _windows(data: bytes, width: int) -> np.ndarray:
+    """The width bits starting at every bit position of data, MSB-first, as
+    unsigned integers; bits past the end read as 0."""
+    if not 1 <= width <= MAX_FIELD_BITS:
+        raise ConfigurationError(f"field width {width} outside [1, {MAX_FIELD_BITS}]")
+    n = len(data)
+    padded = np.frombuffer(bytes(data) + bytes(8), dtype=np.uint8)
+    words = np.zeros(n, dtype=np.uint64)   # the 64 bits from every byte on
+    for k in range(8):
+        words = (words << np.uint64(8)) | padded[k:k + n]
+    return ((words[:, None] << np.arange(8, dtype=np.uint64))
+            >> np.uint64(64 - width)).ravel()
+
+
+def _read_fixed(data: bytes, start: int, width: int, count: int) -> np.ndarray:
+    """count consecutive width-bit fields from bit start on."""
+    end = start + width * count
+    if end > 8 * len(data):
+        raise DecodeError(f"bit stream exhausted at bit {start}")
+    section = data[start >> 3:(end + 7) >> 3]
+    return _windows(section, width)[(start & 7) + width * np.arange(count)]
 
 
 class BitWriter:
-    """Packs unsigned integers MSB-first into bytes."""
+    """Packs unsigned integers of up to 64 bits MSB-first into bytes."""
 
     def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
+        self._values = []
+        self._widths = []
 
     def write(self, value: int, nbits: int) -> None:
-        if nbits <= 0 or value < 0 or value >> nbits:
+        if not 0 < nbits <= 64 or value < 0 or value >> nbits:
             raise ConfigurationError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._out.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
+        self._values.append(value)
+        self._widths.append(nbits)
 
     @property
     def bit_count(self) -> int:
-        return len(self._out) * 8 + self._nbits
+        return sum(self._widths)
 
     def getvalue(self) -> bytes:
         """Byte string padded with zero bits on the right."""
-        out = bytes(self._out)
-        if self._nbits:
-            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return out
+        return _pack_bits(self._values, self._widths)[0]
 
 
 class BitReader:
-    """Reads MSB-first unsigned integers from bytes."""
+    """Reads MSB-first unsigned integers of up to 57 bits from bytes."""
 
     def __init__(self, data: bytes):
         self._data = data
@@ -94,19 +134,8 @@ class BitReader:
         return self._pos
 
     def read(self, nbits: int) -> int:
-        end = self._pos + nbits
-        if end > len(self._data) * 8:
-            raise DecodeError(f"bit stream exhausted at bit {self._pos}")
-        value = 0
-        pos = self._pos
-        while pos < end:
-            byte = self._data[pos >> 3]
-            offset = pos & 7
-            take = min(8 - offset, end - pos)
-            chunk = (byte >> (8 - offset - take)) & ((1 << take) - 1)
-            value = (value << take) | chunk
-            pos += take
-        self._pos = end
+        value = int(_read_fixed(self._data, self._pos, nbits, 1)[0])
+        self._pos += nbits
         return value
 
 
@@ -148,13 +177,12 @@ def to_csr(dense) -> CsrMatrix:
 
 
 def from_csr(csr: CsrMatrix) -> np.ndarray:
+    rows = np.repeat(np.arange(csr.rows), np.diff(csr.ir))
+    bad = np.flatnonzero((np.diff(csr.ic) <= 0) & (rows[1:] == rows[:-1]))
+    if bad.size:
+        raise DecodeError(f"IC not strictly increasing within row {rows[bad[0]]}")
     w = np.zeros((csr.rows, csr.cols))
-    for k in range(csr.rows):
-        lo, hi = csr.ir[k], csr.ir[k + 1]
-        cols = csr.ic[lo:hi]
-        if cols.size > 1 and np.any(np.diff(cols) <= 0):
-            raise DecodeError(f"IC not strictly increasing within row {k}")
-        w[k, cols] = csr.a[lo:hi]
+    w[rows, csr.ic] = csr.a
     return w
 
 
@@ -171,10 +199,56 @@ class RelIndexStream:
     def __post_init__(self):
         if not 1 <= self.p <= 16:
             raise ConfigurationError(f"index bit width {self.p} outside [1, 16]")
-        span = 1 << self.p
-        for g, _ in self.entries:
-            if not 0 <= g < span:
-                raise ConfigurationError(f"stored gap {g} needs more than {self.p} bits")
+        gaps = np.array([g for g, _ in self.entries], dtype=np.int64)
+        bad = gaps[(gaps < 0) | (gaps >= 1 << self.p)]
+        if bad.size:
+            raise ConfigurationError(
+                f"stored gap {bad[0]} needs more than {self.p} bits")
+
+
+def _rel_entries(ic: np.ndarray, a: np.ndarray, ir: np.ndarray,
+                 p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Relative-index entries of CSR rows: (stored gaps, values), fillers
+    included, in row order."""
+    if not 1 <= p <= 16:
+        raise ConfigurationError(f"index bit width {p} outside [1, 16]")
+    prev = np.empty_like(ic)       # previous column of the row, -1 at its start
+    prev[1:] = ic[:-1]
+    prev[ir[:-1][ir[:-1] < ir[1:]]] = -1
+    gap = ic - prev
+    if np.any(gap <= 0):
+        k = np.flatnonzero(gap <= 0)[0]
+        raise ConfigurationError(
+            f"indices must be strictly increasing, got {ic[k]} after {prev[k]}")
+    fillers = (gap - 1) >> p
+    at = np.cumsum(fillers + 1) - 1    # entry index of each nonzero
+    gaps = np.full(at[-1] + 1 if at.size else 0, (1 << p) - 1, dtype=np.int64)
+    gaps[at] = gap - 1 - (fillers << p)
+    values = np.zeros(gaps.size)
+    values[at] = a
+    return gaps, values
+
+
+def _place(gaps: np.ndarray, values: np.ndarray, ir: np.ndarray, cols: int):
+    """Inverse of _rel_entries: row, column and value of every weight, the
+    rows delimited by the cumulative counts ir. Raises at the first weight
+    outside cols, on too few weights and on entries left over."""
+    nnz = int(ir[-1])
+    nz = np.flatnonzero(values != 0.0)[:nnz]   # the rest are fillers
+    row = np.searchsorted(ir, np.arange(nz.size), side="right") - 1
+    reach = np.cumsum(gaps + 1)[nz]            # column + 1, counted from row 0
+    start = ir[row]                            # first weight of the row
+    col = reach - np.where(start > 0, reach[start - 1], 0) - 1
+    out = np.flatnonzero(col >= cols)
+    if out.size:
+        raise DecodeError(f"column {col[out[0]]} outside row {row[out[0]]}")
+    if nz.size < nnz:
+        raise DecodeError("entry stream exhausted in row "
+                          f"{np.searchsorted(ir, nz.size, side='right') - 1}")
+    left = gaps.size - (nz[-1] + 1 if nz.size else 0)
+    if left:
+        raise DecodeError(f"{left} unconsumed entries")
+    return row, col, values[nz]
 
 
 def rel_encode(indices, values, p: int) -> RelIndexStream:
@@ -184,36 +258,21 @@ def rel_encode(indices, values, p: int) -> RelIndexStream:
     2^p emit filler entries (stored 2^p - 1, value 0.0) first, each
     advancing the cursor by 2^p.
     """
-    if not 1 <= p <= 16:
-        raise ConfigurationError(f"index bit width {p} outside [1, 16]")
-    span = 1 << p
-    entries = []
-    prev = -1
-    for idx, val in zip(indices, values, strict=True):
-        idx = int(idx)
-        gap = idx - prev
-        if gap <= 0:
-            raise ConfigurationError(
-                f"indices must be strictly increasing, got {idx} after {prev}")
-        while gap > span:
-            entries.append((span - 1, 0.0))
-            gap -= span
-        entries.append((gap - 1, float(val)))
-        prev = idx
-    return RelIndexStream(p, entries)
+    ic = np.asarray(indices, dtype=np.int64)
+    a = np.asarray(values, dtype=np.float64)
+    if ic.shape != a.shape:
+        raise ValueError("indices and values differ in length")
+    gaps, vals = _rel_entries(ic, a, np.array([0, ic.size]), p)
+    return RelIndexStream(p, list(zip(gaps.tolist(), vals.tolist())))
 
 
 def rel_decode(stream: RelIndexStream):
     """Inverse of rel_encode; fillers (zero-valued entries) are dropped."""
-    indices = []
-    values = []
-    prev = -1
-    for g, v in stream.entries:
-        prev += g + 1
-        if v != 0.0:
-            indices.append(prev)
-            values.append(v)
-    return indices, values
+    gaps = np.array([g for g, _ in stream.entries], dtype=np.int64)
+    values = np.array([v for _, v in stream.entries], dtype=np.float64)
+    ir = np.array([0, np.count_nonzero(values)])
+    _, cols, kept = _place(gaps, values, ir, np.iinfo(np.int64).max)
+    return cols.tolist(), kept.tolist()
 
 
 @dataclass
@@ -236,6 +295,24 @@ def build_codebook(values) -> tuple[Codebook, np.ndarray]:
     return Codebook(table, width), idx.astype(np.int64)
 
 
+def _canonical(lengths: np.ndarray):
+    """Used symbols in canonical order (length, then symbol), with their
+    code lengths and codes. Rejects lengths above MAX_CODE_LENGTH and
+    over-full tables before anything is built from them."""
+    syms = np.flatnonzero(lengths)
+    syms = syms[np.argsort(lengths[syms], kind="stable")]
+    lens = lengths[syms]
+    top = int(lens[-1]) if lens.size else 0
+    if top > MAX_CODE_LENGTH:
+        raise DecodeError(f"Huffman code length {top} above {MAX_CODE_LENGTH}")
+    per_length = np.bincount(lens, minlength=top + 1).tolist()
+    if sum(c << (top - l) for l, c in enumerate(per_length)) > 1 << top:
+        raise DecodeError("over-full Huffman code lengths (Kraft sum above 1)")
+    # a code is the share of the 2^top code space the codes before it take
+    space = np.left_shift(1, top - lens)
+    return syms, lens, (np.cumsum(space) - space) >> (top - lens)
+
+
 @dataclass
 class HuffmanTable:
     """Canonical code lengths per symbol; length 0 marks an unused symbol."""
@@ -251,39 +328,30 @@ class HuffmanTable:
 
     def codes(self) -> dict:
         """symbol -> (code, length), canonical order (length, then symbol)."""
-        order = sorted(
-            (int(l), s) for s, l in enumerate(self.lengths) if l > 0
-        )
-        out = {}
-        code = 0
-        prev_len = order[0][0] if order else 0
-        for length, sym in order:
-            code <<= length - prev_len
-            out[sym] = (code, length)
-            code += 1
-            prev_len = length
-        return out
+        syms, lens, codes = _canonical(self.lengths)
+        return {s: (c, l) for s, l, c in
+                zip(syms.tolist(), lens.tolist(), codes.tolist())}
 
 
-def _code_lengths(freqs: dict) -> dict:
-    """Huffman code lengths from symbol frequencies, deterministic tie-break."""
-    if not freqs:
-        return {}
-    if len(freqs) == 1:
-        return {next(iter(freqs)): 1}
-    heap = []
-    for counter, (sym, f) in enumerate(sorted(freqs.items())):
-        heap.append((f, counter, {sym: 0}))
+def _code_lengths(freqs: np.ndarray) -> np.ndarray:
+    """Huffman code lengths from symbol frequencies (0 = unused symbol).
+    Ties break on node creation order: leaves in symbol order, then merged
+    nodes as they are made. A single used symbol gets length 1."""
+    syms = np.flatnonzero(freqs)
+    n = syms.size
+    heap = [(f, node) for node, f in enumerate(freqs[syms].tolist())]
     heapq.heapify(heap)
-    counter = len(heap)
-    while len(heap) > 1:
-        fa, _, a = heapq.heappop(heap)
-        fb, _, b = heapq.heappop(heap)
-        merged = {s: d + 1 for s, d in a.items()}
-        merged.update({s: d + 1 for s, d in b.items()})
-        heapq.heappush(heap, (fa + fb, counter, merged))
-        counter += 1
-    return heap[0][2]
+    parent = [0] * (2 * n - 1)
+    for node in range(n, 2 * n - 1):
+        (fa, a), (fb, b) = heapq.heappop(heap), heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (fa + fb, node))
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):   # parents are made after children
+        depth[node] = depth[parent[node]] + 1
+    lengths = np.zeros(freqs.size, dtype=np.int64)
+    lengths[syms] = np.maximum(depth[:n], 1)
+    return lengths
 
 
 def huffman_encode(symbols, alphabet_size: int) -> tuple[HuffmanTable, bytes, int]:
@@ -292,65 +360,69 @@ def huffman_encode(symbols, alphabet_size: int) -> tuple[HuffmanTable, bytes, in
     Returns (table, payload, exact bit count); the payload's final byte is
     zero-padded. A single-symbol alphabet codes at 1 bit per symbol.
     """
-    symbols = [int(s) for s in symbols]
-    if not symbols:
+    symbols = np.asarray(symbols, dtype=np.int64)
+    if symbols.size == 0:
         raise ConfigurationError("cannot Huffman-code an empty stream")
-    freqs: dict = {}
-    for s in symbols:
-        if not 0 <= s < alphabet_size:
-            raise ConfigurationError(f"symbol {s} outside alphabet of {alphabet_size}")
-        freqs[s] = freqs.get(s, 0) + 1
-    depth = _code_lengths(freqs)
-    lengths = np.zeros(alphabet_size, dtype=np.int64)
-    for s, d in depth.items():
-        lengths[s] = max(d, 1)
-    table = HuffmanTable(lengths)
-    codes = table.codes()
-    writer = BitWriter()
-    for s in symbols:
-        code, length = codes[s]
-        writer.write(code, length)
-    return table, writer.getvalue(), writer.bit_count
+    outside = (symbols < 0) | (symbols >= alphabet_size)
+    if outside.any():
+        raise ConfigurationError(
+            f"symbol {symbols[outside][0]} outside alphabet of {alphabet_size}")
+    table = HuffmanTable(_code_lengths(np.bincount(symbols, minlength=alphabet_size)))
+    syms, _, codes = _canonical(table.lengths)
+    code_of = np.zeros(alphabet_size, dtype=np.int64)
+    code_of[syms] = codes
+    payload, nbits = _pack_bits(code_of[symbols], table.lengths[symbols])
+    return table, payload, nbits
+
+
+def _chain(step: np.ndarray, count: int) -> np.ndarray:
+    """The first count positions of 0, step[0], step[step[0]], ...: every
+    64th is walked with step applied 64 times (six squarings), and the 63
+    after each of those follow for all of them at once."""
+    jump = step
+    for _ in range(6):
+        jump = jump.take(jump)
+    every64 = [0]
+    for _ in range((count - 1) // 64):
+        every64.append(int(jump[every64[-1]]))
+    chain = np.empty((64, len(every64)), dtype=np.int64)
+    chain[0] = every64
+    for k in range(1, 64):
+        chain[k] = step.take(chain[k - 1])
+    return chain.T.ravel()[:count]
 
 
 def huffman_decode(table: HuffmanTable, payload: bytes, count: int) -> list:
     """Decode exactly count symbols; surplus padding bits are ignored."""
-    order = sorted((int(l), s) for s, l in enumerate(table.lengths) if l > 0)
-    if not order and count > 0:
+    if count == 0:
+        return []
+    if not table.lengths.any():
         raise DecodeError("empty Huffman table for a non-empty stream")
-    # canonical decode tables: per code length, the first code value and
-    # the symbols it covers in order
-    first_code: dict = {}
-    syms_at: dict = {}
-    code = 0
-    prev_len = order[0][0] if order else 0
-    for length, sym in order:
-        code <<= length - prev_len
-        if length not in first_code:
-            first_code[length] = code
-            syms_at[length] = []
-        syms_at[length].append(sym)
-        code += 1
-        prev_len = length
-    max_len = order[-1][0] if order else 0
-
-    reader = BitReader(payload)
-    out = []
-    for _ in range(count):
-        code = 0
-        length = 0
-        while True:
-            code = (code << 1) | reader.read(1)
-            length += 1
-            if length in first_code:
-                offset = code - first_code[length]
-                if 0 <= offset < len(syms_at[length]):
-                    out.append(syms_at[length][offset])
-                    break
-            if length >= max_len:
-                raise DecodeError(
-                    f"invalid Huffman code ending at bit {reader.bit_position}")
-    return out
+    nbits = 8 * len(payload)
+    if count > nbits:
+        raise DecodeError(f"bit stream exhausted: {count} symbols in {nbits} bits")
+    syms, lens, _ = _canonical(table.lengths)
+    top = int(lens[-1])
+    per_length = np.bincount(lens, minlength=top + 1)[1:]
+    shift = top - np.arange(1, top + 1)
+    space = per_length << shift
+    limit = np.cumsum(space)    # one past the last top-bit window per length
+    window = _windows(payload, top).view(np.int64)
+    li = np.searchsorted(limit, window, side="right")   # length - 1, top if invalid
+    # the next code's position; an invalid code, a code running past the
+    # end and the end itself lead to the mark nbits + 1, which leads to itself
+    advance = np.append(np.arange(1, top + 1), nbits + 1)
+    step = np.full(nbits + 2, nbits + 1)
+    np.minimum(np.arange(nbits) + advance.take(li), nbits + 1, out=step[:nbits])
+    starts = _chain(step, count)
+    if step[starts[-1]] > nbits:
+        s = int(starts[np.argmax(step.take(starts) > nbits)])
+        if s < nbits and li[s] == top and s + top <= nbits:
+            raise DecodeError(f"invalid Huffman code ending at bit {s + top}")
+        raise DecodeError(f"bit stream exhausted at bit {nbits}")
+    li = li.take(starts)
+    offset = np.cumsum(per_length) - per_length - ((limit - space) >> shift)
+    return syms.take((window.take(starts) >> shift.take(li)) + offset.take(li)).tolist()
 
 
 @dataclass
@@ -373,18 +445,6 @@ class LayerReport:
         s = self.stages["coded"]
         return s["a"] + s["ir"] + s["ic"]
 
-    def as_dict(self) -> dict:
-        return {
-            "rows": self.rows, "cols": self.cols, "params": self.params,
-            "nnz": self.nnz, "n_entries": self.n_entries,
-            "p": self.p, "p_prun": self.p_prun,
-            "naive_rate": self.naive_rate,
-            "prune_fraction": self.prune_fraction,
-            "stages": self.stages,
-            "overhead_bits": self.overhead_bits,
-            "total_bits": self.total_bits,
-        }
-
 
 @dataclass
 class CompressionReport:
@@ -398,16 +458,7 @@ class CompressionReport:
     error_after: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            "layers": [l.as_dict() for l in self.layers],
-            "total_params": self.total_params,
-            "total_nnz": self.total_nnz,
-            "total_bits": self.total_bits,
-            "compression_rate": self.compression_rate,
-            "payload_compression_rate": self.payload_compression_rate,
-            "error_before": self.error_before,
-            "error_after": self.error_after,
-        }
+        return asdict(self)
 
 
 def p_prun_for(nnz: int) -> int:
@@ -424,39 +475,22 @@ def encode_layer(dense: np.ndarray, p: int, tag: int = LAYER_TAG_FC,
     csr = to_csr(dense)
     rows, cols = csr.rows, csr.cols
     pp = p_prun_for(csr.nnz)
-
-    entries = []
-    for k in range(rows):
-        lo, hi = csr.ir[k], csr.ir[k + 1]
-        entries.extend(rel_encode(csr.ic[lo:hi], csr.a[lo:hi], p).entries)
-    n_entries = len(entries)
-
-    ir_writer = BitWriter()
-    for v in csr.ir:
-        ir_writer.write(int(v), pp)
-    ir_bytes = ir_writer.getvalue()
-
-    chunks = [_LAYER_HEADER.pack(tag, rows, cols, p, pp, csr.nnz, n_entries),
-              ir_bytes]
+    gaps, values = _rel_entries(csr.ic, csr.a, csr.ir, p)
+    n_entries = gaps.size
+    chunks = [struct.pack(_LAYER_HEADER, tag, rows, cols, p, pp, csr.nnz, n_entries),
+              _pack_bits(csr.ir, np.full(rows + 1, pp))[0]]
     if n_entries:
-        values = [v for _, v in entries]
-        gaps = [g for g, _ in entries]
         cb, vidx = build_codebook(values)
         val_table, val_payload, val_bits = huffman_encode(vidx, cb.table.size)
         gap_table, gap_payload, gap_bits = huffman_encode(gaps, 1 << p)
-        chunks.append(struct.pack("<H", cb.table.size))
-        chunks.append(cb.table.astype("<f8").tobytes())
-        chunks.append(val_table.lengths.astype("<u1").tobytes())
-        chunks.append(gap_table.lengths.astype("<u1").tobytes())
-        chunks.append(struct.pack("<I", len(gap_payload)))
-        chunks.append(gap_payload)
-        chunks.append(struct.pack("<I", len(val_payload)))
-        chunks.append(val_payload)
-        cb_size = cb.table.size
+        chunks += [struct.pack("<H", cb.table.size), cb.table.astype("<f8").tobytes(),
+                   val_table.lengths.astype("<u1").tobytes(),
+                   gap_table.lengths.astype("<u1").tobytes(),
+                   struct.pack("<I", len(gap_payload)), gap_payload,
+                   struct.pack("<I", len(val_payload)), val_payload]
     else:
         chunks.append(struct.pack("<H", 0))
         val_bits = gap_bits = 0
-        cb_size = 0
 
     blob = b"".join(chunks)
     stages = {
@@ -486,24 +520,18 @@ def encode_network(q: QuantizedNetwork, p_fc: int = 5,
     applies; p_conv is part of the format for convolutional matrices
     stored through the same container.
     """
-    dense_layers = [q.means[ql.assignments] for ql in q.layers]
-    chunks = [SWSB_MAGIC, struct.pack("<HH", SWSB_VERSION, len(dense_layers))]
-    reports = []
-    for li, w in enumerate(dense_layers):
-        frac = q.prune_fraction(li)
-        layer_blob, lr = encode_layer(w, p_fc, LAYER_TAG_FC, frac)
-        chunks.append(layer_blob)
-        reports.append(lr)
-    blob = b"".join(chunks)
+    encoded = [encode_layer(q.means[ql.assignments], p_fc, LAYER_TAG_FC,
+                            q.prune_fraction(li)) for li, ql in enumerate(q.layers)]
+    blob = b"".join([SWSB_MAGIC, struct.pack("<HH", SWSB_VERSION, len(encoded))]
+                    + [layer_blob for layer_blob, _ in encoded])
+    reports = [lr for _, lr in encoded]
 
     total_params = sum(r.params for r in reports)
     total_bits = 8 * len(blob)
     payload_bits = sum(r.payload_bits() for r in reports)
     report = CompressionReport(
-        layers=reports,
-        total_params=total_params,
-        total_nnz=sum(r.nnz for r in reports),
-        total_bits=total_bits,
+        layers=reports, total_params=total_params,
+        total_nnz=sum(r.nnz for r in reports), total_bits=total_bits,
         compression_rate=DENSE_BITS_PER_WEIGHT * total_params / total_bits,
         payload_compression_rate=(
             DENSE_BITS_PER_WEIGHT * total_params / payload_bits
@@ -512,23 +540,7 @@ def encode_network(q: QuantizedNetwork, p_fc: int = 5,
     return blob, report
 
 
-class _ByteCursor:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise DecodeError(f"blob truncated at byte {self.pos}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, st: struct.Struct):
-        return st.unpack(self.take(st.size))
-
-
-def decode_layer(cur: _ByteCursor) -> np.ndarray:
+def decode_layer(cur: _Cursor) -> np.ndarray:
     tag, rows, cols, p, pp, nnz, n_entries = cur.unpack(_LAYER_HEADER)
     if tag not in (LAYER_TAG_FC, LAYER_TAG_CONV):
         raise DecodeError(f"unknown layer tag {tag}")
@@ -536,11 +548,10 @@ def decode_layer(cur: _ByteCursor) -> np.ndarray:
         raise DecodeError(f"index bit width {p} outside [1, 16]")
     if pp != p_prun_for(nnz):
         raise DecodeError(f"IR bit width {pp} is not the width for nnz {nnz}")
-    ir_bytes = cur.take((pp * (rows + 1) + 7) // 8)
-    reader = BitReader(ir_bytes)
-    ir = np.array([reader.read(pp) for _ in range(rows + 1)], dtype=np.int64)
+    ir = _read_fixed(cur.take((pp * (rows + 1) + 7) // 8), 0, pp, rows + 1)
+    ir = ir.astype(np.int64)
 
-    (cb_size,) = struct.unpack("<H", cur.take(2))
+    (cb_size,) = cur.unpack("<H")
     w = np.zeros((rows, cols))
     if n_entries == 0:
         if cb_size != 0 or nnz != 0:
@@ -553,50 +564,28 @@ def decode_layer(cur: _ByteCursor) -> np.ndarray:
     table = np.frombuffer(cur.take(8 * cb_size), dtype="<f8").copy()
     val_lengths = np.frombuffer(cur.take(cb_size), dtype="<u1")
     gap_lengths = np.frombuffer(cur.take(1 << p), dtype="<u1")
-    (gap_len,) = struct.unpack("<I", cur.take(4))
-    gap_payload = cur.take(gap_len)
-    (val_len,) = struct.unpack("<I", cur.take(4))
-    val_payload = cur.take(val_len)
+    gap_payload = cur.take(*cur.unpack("<I"))
+    val_payload = cur.take(*cur.unpack("<I"))
 
-    gaps = huffman_decode(HuffmanTable(gap_lengths), gap_payload, n_entries)
-    vidx = huffman_decode(HuffmanTable(val_lengths), val_payload, n_entries)
-
+    gaps, vidx = np.array([
+        huffman_decode(HuffmanTable(gap_lengths), gap_payload, n_entries),
+        huffman_decode(HuffmanTable(val_lengths), val_payload, n_entries)])
     if ir[0] != 0 or np.any(np.diff(ir) < 0) or ir[-1] != nnz:
         raise DecodeError("inconsistent IR vector")
-    pos = 0
-    emitted_total = 0
-    for k in range(rows):
-        needed = int(ir[k + 1] - ir[k])
-        prev = -1
-        emitted = 0
-        while emitted < needed:
-            if pos >= n_entries:
-                raise DecodeError(f"entry stream exhausted in row {k}")
-            prev += gaps[pos] + 1
-            value = table[vidx[pos]]
-            pos += 1
-            if value != 0.0:
-                if prev >= cols:
-                    raise DecodeError(f"column {prev} outside row {k}")
-                w[k, prev] = value
-                emitted += 1
-        emitted_total += emitted
-    if pos != n_entries:
-        raise DecodeError(f"{n_entries - pos} unconsumed entries")
-    if emitted_total != nnz:
-        raise DecodeError("nonzero count mismatch after decode")
+    r, c, v = _place(gaps, table[vidx], ir, cols)
+    w[r, c] = v
     return w
 
 
 def decode_network(blob: bytes) -> list:
     """Recover the quantized weight matrices from a blob, exactly."""
-    cur = _ByteCursor(blob)
+    cur = _Cursor(blob, "blob", DecodeError)
     if cur.take(4) != SWSB_MAGIC:
         raise DecodeError("bad magic, not an encoded-weights blob")
-    version, n_layers = struct.unpack("<HH", cur.take(4))
+    version, n_layers = cur.unpack("<HH")
     if version != SWSB_VERSION:
         raise DecodeError(f"unsupported blob version {version}")
     matrices = [decode_layer(cur) for _ in range(n_layers)]
-    if cur.pos != len(cur.blob):
-        raise DecodeError(f"{len(cur.blob) - cur.pos} trailing bytes in blob")
+    if cur.remaining:
+        raise DecodeError(f"{cur.remaining} trailing bytes in blob")
     return matrices

@@ -161,8 +161,12 @@ def synthetic_digits(n_train: int = 8000, n_test: int = 2000, seed: int = 0,
         a = coeffs[labels] + rng.normal(0.0, noise, (n, n_bumps))
         images = np.einsum("nm,mhw->nhw", a, bumps)
         shifts = rng.integers(-1, 2, size=(n, 2))
-        for i in range(n):
-            images[i] = np.roll(images[i], tuple(shifts[i]), axis=(0, 1))
+        # one roll per distinct shift and block of at most 64 images; small
+        # blocks keep the peak memory of rolling image by image
+        for dy, dx in np.unique(shifts, axis=0):
+            group = np.flatnonzero((shifts[:, 0] == dy) & (shifts[:, 1] == dx))
+            for block in np.split(group, range(64, group.size, 64)):
+                images[block] = np.roll(images[block], (dy, dx), axis=(1, 2))
         images += rng.normal(0.0, pixel_noise, size=images.shape)
         np.clip(images, 0.0, 1.0, out=images)
         border = margin - 1

@@ -109,7 +109,9 @@ def stage_pretrain(cfg: ExperimentConfig, data: MnistDataset,
     emit("pretraining")
     net = pretrain_network(
         cfg, data, lambda ep, err: emit(f"pretrain epoch {ep}: test error {err:.4f}"))
-    save_checkpoint(net, _out(cfg) / "pretrained.swsc")
+    path = _pretrained_path(cfg)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(net, path)
     return net
 
 

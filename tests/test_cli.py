@@ -64,6 +64,18 @@ def test_stagewise_chain_matches_run(tiny_config_file, tmp_path, capsys):
                 == (tmp_path / "run" / name).read_bytes()), name
 
 
+def test_pretrain_then_compress_with_a_configured_checkpoint(
+        tiny_config_file, tmp_path, capsys):
+    base = tmp_path / "baselines" / "tiny.swsc"
+    args = [*_cfg_args(tiny_config_file), "--quiet",
+            "--set", f"pretrained_checkpoint={base}"]
+    assert main(["pretrain", *args]) == 0
+    assert base.exists()
+    assert not (tmp_path / "out" / "pretrained.swsc").exists()
+    assert main(["compress", *args]) == 0
+    assert (tmp_path / "out" / "quantized.bin").exists()
+
+
 def test_set_overrides_win_over_file(tiny_config_file, tmp_path, capsys):
     rc = main(["pretrain", *_cfg_args(tiny_config_file), "--quiet",
                "--set", f"output_dir={tmp_path / 'elsewhere'}"])

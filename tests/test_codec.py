@@ -3,8 +3,10 @@
 Expected values in the hand cases below are worked out by hand first;
 round-trip properties are driven by hypothesis.
 """
+import hashlib
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -367,3 +369,114 @@ def test_report_stage_bit_accounting():
     # entropy coding must not lose to the fixed-width relative stage by
     # more than the plus-one-bit-per-symbol Huffman overhead
     assert r.stages["coded"]["ic"] <= r.stages["relative"]["ic"] + r.n_entries
+
+
+# ------------------------------------------------- SWSB v1 golden bytes
+
+def _reference_net(seed=2017):
+    """784-300-100-10 at about 11%/27%/60% density, 14 shared values."""
+    rng = np.random.default_rng(seed)
+    means = np.concatenate([[0.0], rng.normal(0.0, 0.1, 14)])
+    usage = 0.75 ** np.arange(14)
+    layers = []
+    sizes = (784, 300, 100, 10)
+    for (n_in, n_out), density in zip(zip(sizes, sizes[1:]), (0.11, 0.27, 0.60)):
+        a = 1 + rng.choice(14, size=(n_out, n_in), p=usage / usage.sum())
+        a[rng.random((n_out, n_in)) >= density] = 0
+        layers.append(QuantizedLayer(a, np.zeros(n_out), "relu"))
+    return QuantizedNetwork(layers, means)
+
+
+def _net_of(*assignments):
+    return QuantizedNetwork(
+        [QuantizedLayer(np.array(a), np.zeros(len(a)), "relu") for a in assignments],
+        np.array([0.0, -0.5, 0.25, 1.5]))
+
+
+# sha256 of encode_network's blob, recorded from the symbol-at-a-time codec
+# that first wrote SWSB v1: (network, p_fc, digest)
+GOLDEN_BLOBS = {
+    "quantized_net": (
+        _quantized_net, 5,
+        "b38a58b31982f9ef56e3b77e113a7af813d2a2ac77d93bfd22d4dd8d234047f5"),
+    "reference_net": (
+        _reference_net, 5,
+        "2af6656767d455ec415e77e1853d472b01dc8a361abfa3b4dada5872fc281802"),
+    "all_zero": (
+        lambda: _net_of(np.zeros((4, 6), dtype=int)), 5,
+        "d96f1d98e583d6cdef52310adebf14088a0aa7cf163a9d171fac4e40d5d6ad84"),
+    # one value and one gap symbol: both streams use a 1-bit code
+    "single_symbol": (
+        lambda: _net_of(np.full((3, 4), 2)), 5,
+        "866b490aa8b61142e360fb64da6ee88d79499c9381561abacf1aed8002d75271"),
+    # p = 1: gaps of 10 and 12 need four and five fillers in a row
+    "filler_runs": (
+        lambda: _net_of([[0] * 9 + [1, 0, 3], [0] * 11 + [2]]), 1,
+        "7a0f0b2a9de88e200c31311846b13ee38e9ca758c2aff9e491548c72b3da6297"),
+    "empty_first_last_rows": (
+        lambda: _net_of([[0, 0, 0, 0, 0], [1, 0, 2, 0, 3],
+                         [0, 3, 0, 0, 1], [0, 0, 0, 0, 0]]), 2,
+        "b444a558c34da117146b570a99fe0e7464313de3b8abac0f292294794f062b04"),
+    "p1": (
+        lambda: _net_of([[1, 0, 0, 2, 0, 0, 0, 3], [0, 0, 3, 0, 0, 0, 0, 1]]), 1,
+        "5b605ad06e70939af4ebbf9d286d6d0bbd85439a90d481ee79a6f09294a6892d"),
+    "p16": (
+        lambda: _net_of([[1, 0, 0, 2, 0, 0, 0, 3], [0, 0, 3, 0, 0, 0, 0, 1]]), 16,
+        "aa1e8d92627ffd861ef51bbd8b7c614205b430c66b2c9c60d4a32f2d46b1c490"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BLOBS))
+def test_swsb_v1_bytes_are_pinned(name):
+    make, p, digest = GOLDEN_BLOBS[name]
+    q = make()
+    blob, _ = encode_network(q, p_fc=p)
+    assert hashlib.sha256(blob).hexdigest() == digest
+    for mat, ql in zip(decode_network(blob), q.layers):
+        np.testing.assert_array_equal(mat, q.means[ql.assignments])
+
+
+# ------------------------------------------ hostile Huffman code tables
+
+def _raises_fast(fn, match):
+    t0 = time.perf_counter()
+    with pytest.raises(DecodeError, match=match):
+        fn()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_huffman_decode_rejects_over_full_table():
+    # three 1-bit codes: Kraft sum 3/2
+    _raises_fast(lambda: huffman_decode(HuffmanTable([1, 1, 1]), b"\x00", 1),
+                 "over-full")
+
+
+def test_huffman_decode_rejects_codes_longer_than_47_bits():
+    lengths = np.zeros(256, dtype=int)
+    lengths[:2] = (1, 255)
+    _raises_fast(lambda: huffman_decode(HuffmanTable(lengths), b"\xff" * 64, 8),
+                 "length 255 above 47")
+    _raises_fast(lambda: huffman_decode(HuffmanTable([1, 48]), b"\xff" * 8, 1),
+                 "length 48 above 47")
+
+
+def test_huffman_decode_rejects_more_symbols_than_bits():
+    _raises_fast(lambda: huffman_decode(HuffmanTable([1, 1]), b"\x00" * 4, 33),
+                 "33 symbols in 32 bits")
+    # the same through a blob whose entry count claims 2^32 - 1 entries
+    blob, _ = encode_network(_quantized_net())
+    n_entries_at = 8 + 1 + 4 + 4 + 1 + 1 + 4
+    hostile = (blob[:n_entries_at] + struct.pack("<I", 0xFFFFFFFF)
+               + blob[n_entries_at + 4:])
+    _raises_fast(lambda: decode_network(hostile), "exhausted")
+
+
+def test_huffman_decodes_a_47_bit_code():
+    # lengths 1, 2, ..., 47, 47: complete, the last symbol's code is 47 ones
+    table = HuffmanTable(list(range(1, 48)) + [47])
+    codes = table.codes()
+    w = BitWriter()
+    for s in (47, 0, 46, 3):
+        w.write(*codes[s])
+    assert codes[47] == ((1 << 47) - 1, 47)
+    assert huffman_decode(table, w.getvalue(), 4) == [47, 0, 46, 3]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from softshare.data import (
+    _bump_dictionary,
     MNIST_FILES,
     load_mnist,
     read_idx,
@@ -147,3 +148,37 @@ def test_synthetic_corpus_is_deterministic():
 def test_synthetic_train_and_test_are_distinct_draws():
     ds = synthetic_digits(n_train=16, n_test=16, seed=0)
     assert not np.array_equal(ds.train.inputs, ds.test.inputs)
+
+
+def _per_image_shift_corpus(n_train, n_test, seed, noise=0.055,
+                            pixel_noise=0.10):
+    """synthetic_digits with its one-pixel shifts applied one image at a time."""
+    rng = np.random.default_rng(seed)
+    bumps = _bump_dictionary(rng, 28, 3, 16)
+    own = rng.uniform(0.0, 1.0, (10, 16))
+    coeffs = own / own.sum(axis=1, keepdims=True) * 3.0
+
+    def draw(n):
+        labels = rng.integers(0, 10, size=n)
+        a = coeffs[labels] + rng.normal(0.0, noise, (n, 16))
+        images = np.einsum("nm,mhw->nhw", a, bumps)
+        shifts = rng.integers(-1, 2, size=(n, 2))
+        for i in range(n):
+            images[i] = np.roll(images[i], tuple(shifts[i]), axis=(0, 1))
+        images += rng.normal(0.0, pixel_noise, size=images.shape)
+        np.clip(images, 0.0, 1.0, out=images)
+        for edge in (np.s_[:, :2, :], np.s_[:, -2:, :],
+                     np.s_[:, :, :2], np.s_[:, :, -2:]):
+            images[edge] = 0.0
+        return images.reshape(n, -1), labels
+
+    return draw(n_train), draw(n_test)
+
+
+def test_grouped_shifts_match_the_per_image_loop():
+    ds = synthetic_digits(n_train=300, n_test=90, seed=11)
+    (train_x, train_y), (test_x, test_y) = _per_image_shift_corpus(300, 90, 11)
+    assert np.array_equal(ds.train.inputs, train_x)
+    assert np.array_equal(ds.train.labels, train_y)
+    assert np.array_equal(ds.test.inputs, test_x)
+    assert np.array_equal(ds.test.labels, test_y)
