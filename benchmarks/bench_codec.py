@@ -65,15 +65,11 @@ def huffman_streams(q) -> list:
     streams = []
     for ql in q.layers:
         csr = codec.to_csr(q.means[ql.assignments])
-        entries = []
-        for k in range(csr.rows):
-            lo, hi = csr.ir[k], csr.ir[k + 1]
-            entries += codec.rel_encode(csr.ic[lo:hi], csr.a[lo:hi], P_FC).entries
-        gaps = [g for g, _ in entries]
-        cb, vidx = codec.build_codebook([v for _, v in entries])
-        for symbols, alphabet in ((gaps, 1 << P_FC), (vidx, cb.table.size)):
+        gaps, values = codec.rel_encode(csr.ic, csr.a, csr.ir, P_FC)
+        values, vidx = codec.build_codebook(values)
+        for symbols, alphabet in ((gaps, 1 << P_FC), (vidx, values.size)):
             table, payload, _ = codec.huffman_encode(symbols, alphabet)
-            streams.append((table, payload, len(symbols)))
+            streams.append((table, payload, symbols.size))
     return streams
 
 

@@ -1,20 +1,28 @@
 """Bit-exact sparse storage for quantized weight matrices.
 
-Encoding stages per layer, each with an exact inverse:
+Encoding stages per layer, each a function over whole arrays with an exact
+inverse:
 
-1. CSR: row-major nonzero values A, cumulative row counts IR (length
-   rows+1), column indices IC.
+1. CSR, `to_csr`/`from_csr`: row-major nonzero values A (float64),
+   cumulative row counts IR (int64, length rows+1), column indices IC
+   (int64).
 2. Width reduction: IR entries fit in p_prun bits, the smallest width with
-   nnz < 2^p_prun.
-3. Relative indexing: per row, IC becomes gaps between consecutive nonzero
-   columns (previous column starts at -1). A gap g is stored as g-1 in p
-   bits; while g exceeds 2^p a filler entry (stored gap 2^p - 1, value 0)
-   advances the cursor by 2^p. Fillers are recognized on decode by their
-   zero value, so A itself gains zero entries.
-4. Codebook: the value stream (fillers included) is mapped to indices into
-   a sorted table of its distinct values.
-5. Huffman: canonical prefix codes over the gap symbols and over the
-   codebook indices, built from stream frequencies.
+   nnz < 2^p_prun (`p_prun_for`); `_pack_bits`/`_read_fixed` write and read
+   such fixed-width fields.
+3. Relative indexing, `rel_encode(ic, a, ir, p) -> (gaps, values)` and
+   `rel_decode(gaps, values, ir, cols) -> (rows, cols, values)`: per row,
+   IC becomes gaps between consecutive nonzero columns (previous column
+   starts at -1). A gap g is stored as g-1 in p bits; while g exceeds 2^p a
+   filler entry (stored gap 2^p - 1, value 0) advances the cursor by 2^p.
+   Fillers are recognized on decode by their zero value, so A itself gains
+   zero entries. gaps are int64, values float64, one per entry.
+4. Codebook, `build_codebook(values) -> (table, idx)`: the value stream
+   (fillers included) is mapped to int64 indices into a sorted float64
+   table of its distinct values.
+5. Huffman, `huffman_encode(symbols, alphabet_size) -> (table, payload,
+   bits)` and `huffman_decode(table, payload, count) -> symbols`:
+   canonical prefix codes over the gap symbols and over the codebook
+   indices, built from stream frequencies; symbols are int64 arrays.
 
 The blob container (magic "SWSB") stores, per layer: a fixed header, IR
 bit-packed at p_prun, the codebook, both canonical code-length tables, and
@@ -22,15 +30,15 @@ the two bit-packed payloads, everything little-endian and byte-padded per
 section. The compression report tallies exact bit counts per stage; its
 total equals the blob length times 8.
 
-Every stage works on whole arrays. Huffman decoding is table-driven
-(Moffat & Turpin 1997): the L-bit window at every bit position of a payload
-(L the longest code) gets its code length from a searchsorted on the
-canonical per-length limits, the symbol starts are the chain of next-code
-positions from bit 0 (64 at a time), and no 2^L table is built, so
-decode memory is linear in the payload bits plus the alphabet. The decoder
-first rejects code lengths above 47 (a length-L code needs Fibonacci(L + 2)
-symbols, above every u32 entry count for L > 47), over-full length tables
-(Kraft sum above 1) and streams claiming more symbols than payload bits.
+Huffman decoding is table-driven (Moffat & Turpin 1997): the L-bit window
+at every bit position of a payload (L the longest code) gets its code length
+from a searchsorted on the canonical per-length limits, the symbol starts
+are the chain of next-code positions from bit 0 (64 at a time), and no 2^L
+table is built, so decode memory is linear in the payload bits plus the
+alphabet. The decoder first rejects code lengths above 47 (a length-L code
+needs Fibonacci(L + 2) symbols, above every u32 entry count for L > 47),
+over-full length tables (Kraft sum above 1) and streams claiming more
+symbols than payload bits.
 
 Compression rate baseline is 32 bits per dense weight: deployment storage
 is float32 even though compute here is float64.
@@ -41,7 +49,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -100,45 +108,6 @@ def _read_fixed(data: bytes, start: int, width: int, count: int) -> np.ndarray:
     return _windows(section, width)[(start & 7) + width * np.arange(count)]
 
 
-class BitWriter:
-    """Packs unsigned integers of up to 64 bits MSB-first into bytes."""
-
-    def __init__(self):
-        self._values = []
-        self._widths = []
-
-    def write(self, value: int, nbits: int) -> None:
-        if not 0 < nbits <= 64 or value < 0 or value >> nbits:
-            raise ConfigurationError(f"value {value} does not fit in {nbits} bits")
-        self._values.append(value)
-        self._widths.append(nbits)
-
-    @property
-    def bit_count(self) -> int:
-        return sum(self._widths)
-
-    def getvalue(self) -> bytes:
-        """Byte string padded with zero bits on the right."""
-        return _pack_bits(self._values, self._widths)[0]
-
-
-class BitReader:
-    """Reads MSB-first unsigned integers of up to 57 bits from bytes."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0  # bit position
-
-    @property
-    def bit_position(self) -> int:
-        return self._pos
-
-    def read(self, nbits: int) -> int:
-        value = int(_read_fixed(self._data, self._pos, nbits, 1)[0])
-        self._pos += nbits
-        return value
-
-
 @dataclass
 class CsrMatrix:
     a: np.ndarray    # nonzero values, row-major
@@ -191,27 +160,19 @@ def naive_rate(csr: CsrMatrix) -> float:
     return csr.rows * csr.cols / (2 * csr.nnz + csr.rows + 1)
 
 
-@dataclass
-class RelIndexStream:
-    p: int
-    entries: list   # (stored_gap, value) pairs, fillers carry value 0.0
+def rel_encode(ic: np.ndarray, a: np.ndarray, ir: np.ndarray,
+               p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Relative-index entries of CSR rows, fillers included, in row order:
+    (stored gaps, values).
 
-    def __post_init__(self):
-        if not 1 <= self.p <= 16:
-            raise ConfigurationError(f"index bit width {self.p} outside [1, 16]")
-        gaps = np.array([g for g, _ in self.entries], dtype=np.int64)
-        bad = gaps[(gaps < 0) | (gaps >= 1 << self.p)]
-        if bad.size:
-            raise ConfigurationError(
-                f"stored gap {bad[0]} needs more than {self.p} bits")
-
-
-def _rel_entries(ic: np.ndarray, a: np.ndarray, ir: np.ndarray,
-                 p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Relative-index entries of CSR rows: (stored gaps, values), fillers
-    included, in row order."""
+    Gap g from the previous column of the row (start -1) is stored as g-1;
+    gaps above 2^p emit filler entries (stored 2^p - 1, value 0.0) first,
+    each advancing the cursor by 2^p.
+    """
     if not 1 <= p <= 16:
         raise ConfigurationError(f"index bit width {p} outside [1, 16]")
+    if ic.shape != a.shape:
+        raise ValueError("indices and values differ in length")
     prev = np.empty_like(ic)       # previous column of the row, -1 at its start
     prev[1:] = ic[:-1]
     prev[ir[:-1][ir[:-1] < ir[1:]]] = -1
@@ -229,10 +190,12 @@ def _rel_entries(ic: np.ndarray, a: np.ndarray, ir: np.ndarray,
     return gaps, values
 
 
-def _place(gaps: np.ndarray, values: np.ndarray, ir: np.ndarray, cols: int):
-    """Inverse of _rel_entries: row, column and value of every weight, the
-    rows delimited by the cumulative counts ir. Raises at the first weight
-    outside cols, on too few weights and on entries left over."""
+def rel_decode(gaps: np.ndarray, values: np.ndarray, ir: np.ndarray,
+               cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of rel_encode: row, column and value of every weight, the
+    rows delimited by the cumulative counts ir; fillers (zero-valued
+    entries) are dropped. Raises at the first weight outside cols, on too
+    few weights and on entries left over."""
     nnz = int(ir[-1])
     nz = np.flatnonzero(values != 0.0)[:nnz]   # the rest are fillers
     row = np.searchsorted(ir, np.arange(nz.size), side="right") - 1
@@ -251,48 +214,13 @@ def _place(gaps: np.ndarray, values: np.ndarray, ir: np.ndarray, cols: int):
     return row, col, values[nz]
 
 
-def rel_encode(indices, values, p: int) -> RelIndexStream:
-    """Gap-encode one row's strictly increasing column indices.
-
-    Gap g from the previous index (start -1) is stored as g-1; gaps above
-    2^p emit filler entries (stored 2^p - 1, value 0.0) first, each
-    advancing the cursor by 2^p.
-    """
-    ic = np.asarray(indices, dtype=np.int64)
-    a = np.asarray(values, dtype=np.float64)
-    if ic.shape != a.shape:
-        raise ValueError("indices and values differ in length")
-    gaps, vals = _rel_entries(ic, a, np.array([0, ic.size]), p)
-    return RelIndexStream(p, list(zip(gaps.tolist(), vals.tolist())))
-
-
-def rel_decode(stream: RelIndexStream):
-    """Inverse of rel_encode; fillers (zero-valued entries) are dropped."""
-    gaps = np.array([g for g, _ in stream.entries], dtype=np.int64)
-    values = np.array([v for _, v in stream.entries], dtype=np.float64)
-    ir = np.array([0, np.count_nonzero(values)])
-    _, cols, kept = _place(gaps, values, ir, np.iinfo(np.int64).max)
-    return cols.tolist(), kept.tolist()
-
-
-@dataclass
-class Codebook:
-    table: np.ndarray   # distinct values, ascending
-    width: int          # index bit width
-
-    def __post_init__(self):
-        self.table = np.ascontiguousarray(self.table, dtype=np.float64)
-
-
-def build_codebook(values) -> tuple[Codebook, np.ndarray]:
-    """Distinct-value table plus the index stream reproducing the input."""
-    v = np.asarray(values, dtype=np.float64)
-    table = np.unique(v)
+def build_codebook(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values, ascending, and the int64 indices into them that
+    reproduce the input."""
+    table = np.unique(values)
     if table.size > (1 << 16):
         raise ConfigurationError(f"codebook overflow: {table.size} distinct values")
-    width = max(1, math.ceil(math.log2(table.size))) if table.size else 1
-    idx = np.searchsorted(table, v)
-    return Codebook(table, width), idx.astype(np.int64)
+    return table, np.searchsorted(table, values).astype(np.int64)
 
 
 def _canonical(lengths: np.ndarray):
@@ -325,12 +253,6 @@ class HuffmanTable:
             raise ConfigurationError("Huffman table needs at least one symbol slot")
         if self.lengths.min() < 0 or self.lengths.max() > 255:
             raise DecodeError("Huffman code length outside [0, 255]")
-
-    def codes(self) -> dict:
-        """symbol -> (code, length), canonical order (length, then symbol)."""
-        syms, lens, codes = _canonical(self.lengths)
-        return {s: (c, l) for s, l, c in
-                zip(syms.tolist(), lens.tolist(), codes.tolist())}
 
 
 def _code_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -392,10 +314,10 @@ def _chain(step: np.ndarray, count: int) -> np.ndarray:
     return chain.T.ravel()[:count]
 
 
-def huffman_decode(table: HuffmanTable, payload: bytes, count: int) -> list:
+def huffman_decode(table: HuffmanTable, payload: bytes, count: int) -> np.ndarray:
     """Decode exactly count symbols; surplus padding bits are ignored."""
     if count == 0:
-        return []
+        return np.empty(0, dtype=np.int64)
     if not table.lengths.any():
         raise DecodeError("empty Huffman table for a non-empty stream")
     nbits = 8 * len(payload)
@@ -422,7 +344,7 @@ def huffman_decode(table: HuffmanTable, payload: bytes, count: int) -> list:
         raise DecodeError(f"bit stream exhausted at bit {nbits}")
     li = li.take(starts)
     offset = np.cumsum(per_length) - per_length - ((limit - space) >> shift)
-    return syms.take((window.take(starts) >> shift.take(li)) + offset.take(li)).tolist()
+    return syms.take((window.take(starts) >> shift.take(li)) + offset.take(li))
 
 
 @dataclass
@@ -457,9 +379,6 @@ class CompressionReport:
     error_before: Optional[float] = None
     error_after: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def p_prun_for(nnz: int) -> int:
     """Smallest width holding every IR entry: nnz < 2^p_prun, at least 1."""
@@ -475,15 +394,15 @@ def encode_layer(dense: np.ndarray, p: int, tag: int = LAYER_TAG_FC,
     csr = to_csr(dense)
     rows, cols = csr.rows, csr.cols
     pp = p_prun_for(csr.nnz)
-    gaps, values = _rel_entries(csr.ic, csr.a, csr.ir, p)
+    gaps, values = rel_encode(csr.ic, csr.a, csr.ir, p)
     n_entries = gaps.size
     chunks = [struct.pack(_LAYER_HEADER, tag, rows, cols, p, pp, csr.nnz, n_entries),
               _pack_bits(csr.ir, np.full(rows + 1, pp))[0]]
     if n_entries:
-        cb, vidx = build_codebook(values)
-        val_table, val_payload, val_bits = huffman_encode(vidx, cb.table.size)
+        table, vidx = build_codebook(values)
+        val_table, val_payload, val_bits = huffman_encode(vidx, table.size)
         gap_table, gap_payload, gap_bits = huffman_encode(gaps, 1 << p)
-        chunks += [struct.pack("<H", cb.table.size), cb.table.astype("<f8").tobytes(),
+        chunks += [struct.pack("<H", table.size), table.astype("<f8").tobytes(),
                    val_table.lengths.astype("<u1").tobytes(),
                    gap_table.lengths.astype("<u1").tobytes(),
                    struct.pack("<I", len(gap_payload)), gap_payload,
@@ -567,12 +486,11 @@ def decode_layer(cur: _Cursor) -> np.ndarray:
     gap_payload = cur.take(*cur.unpack("<I"))
     val_payload = cur.take(*cur.unpack("<I"))
 
-    gaps, vidx = np.array([
-        huffman_decode(HuffmanTable(gap_lengths), gap_payload, n_entries),
-        huffman_decode(HuffmanTable(val_lengths), val_payload, n_entries)])
+    gaps = huffman_decode(HuffmanTable(gap_lengths), gap_payload, n_entries)
+    vidx = huffman_decode(HuffmanTable(val_lengths), val_payload, n_entries)
     if ir[0] != 0 or np.any(np.diff(ir) < 0) or ir[-1] != nnz:
         raise DecodeError("inconsistent IR vector")
-    r, c, v = _place(gaps, table[vidx], ir, cols)
+    r, c, v = rel_decode(gaps, table[vidx], ir, cols)
     w[r, c] = v
     return w
 

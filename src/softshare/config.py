@@ -128,26 +128,10 @@ class ExperimentConfig:
         return cfg if cfg.any_enabled else None
 
 
-_COERCE = {
-    "dataset": str, "data_dir": str, "output_dir": str,
-    "pretrained_checkpoint": str,
-    "seed": int, "layer_sizes": _parse_sizes,
-    "synthetic_train": int, "synthetic_test": int, "synthetic_noise": float,
-    "pretrain_epochs": int, "pretrain_batch_size": int,
-    "pretrain_lr": float, "weight_decay": float,
-    "retrain_epochs": int, "batch_size": int,
-    "lr_weights": float, "lr_means": float, "lr_log_vars": float,
-    "lr_logits": float, "subsample": int, "tau_scales_hyper": _parse_bool,
-    "n_components": int, "pi0": float, "pi0_trainable": _parse_bool,
-    "tau": float,
-    "gamma_zero_alpha": float, "gamma_zero_beta": float,
-    "gamma_rest_alpha": float, "gamma_rest_beta": float,
-    "beta_pi0_alpha": float, "beta_pi0_beta": float,
-    "kl_threshold": float, "max_passes": int,
-    "p_fc": int, "p_conv": int,
-}
-
-assert set(_COERCE) == {f.name for f in fields(ExperimentConfig)}
+# field annotations are strings under postponed evaluation
+_COERCE = {f.name: {"str": str, "int": int, "float": float, "bool": _parse_bool,
+                    "tuple": _parse_sizes}[f.type]
+           for f in fields(ExperimentConfig)}
 
 
 def parse_assignments(pairs) -> dict:

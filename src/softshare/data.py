@@ -3,7 +3,10 @@
 IDX is big-endian: a 4-byte magic (two zero bytes, a dtype code, a
 dimension count), one u32 per dimension, then raw data. Only the unsigned
 byte dtype (code 0x08) is supported, which covers the MNIST image and
-label files. Files may be gzip-compressed (detected by suffix or header).
+label files. Files may be gzip-compressed (detected by suffix or header);
+they are inflated only as far as their IDX header implies, plus one byte to
+detect excess data, so a small file that inflates to gigabytes costs no
+more memory than its header claims.
 
 The synthetic corpus mimics the MNIST geometry (28x28 grayscale in [0,1]
 with a dead border, ten classes) so pipeline behavior carries over. Images
@@ -16,7 +19,10 @@ scale), and one-pixel shifts plus pixel noise add texture.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import sys
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,14 +48,35 @@ class MnistDataset:
     test: Batch
 
 
+def _idx_size(head: bytes) -> int:
+    """Size of the IDX file that starts with head, as far as head shows: the
+    magic, then the dimension table, then the data. Capped so that one more
+    byte still fits zlib's max_length."""
+    if len(head) < 4:
+        return 4
+    end = 4 + 4 * head[3]
+    if len(head) < end:
+        return end
+    return min(end + math.prod(struct.unpack(f">{head[3]}I", head[4:end])),
+               sys.maxsize - 1)
+
+
 def _read_raw(path: Path) -> bytes:
     data = path.read_bytes()
-    if path.suffix == ".gz" or data[:2] == b"\x1f\x8b":
-        try:
-            data = gzip.decompress(data)
-        except OSError as e:
-            raise DataFormatError(f"{path}: bad gzip stream ({e})") from e
-    return data
+    if path.suffix != ".gz" and data[:2] != b"\x1f\x8b":
+        return data
+    inflate, out = zlib.decompressobj(wbits=31), b""
+    try:
+        while data and len(out) <= _idx_size(out):
+            if inflate.eof:   # the next gzip member
+                inflate = zlib.decompressobj(wbits=31)
+            out += inflate.decompress(data, _idx_size(out) + 1 - len(out))
+            data = inflate.unused_data if inflate.eof else inflate.unconsumed_tail
+    except zlib.error as e:
+        raise DataFormatError(f"{path}: bad gzip stream ({e})") from e
+    if len(out) <= _idx_size(out) and not inflate.eof:
+        raise DataFormatError(f"{path}: bad gzip stream (truncated)")
+    return out
 
 
 def read_idx(path) -> np.ndarray:
@@ -70,11 +97,11 @@ def read_idx(path) -> np.ndarray:
     if ndim < 1 or len(data) < 4 + 4 * ndim:
         raise DataFormatError(f"{path}: truncated dimension table")
     dims = struct.unpack(f">{ndim}I", data[4:4 + 4 * ndim])
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     body = data[4 + 4 * ndim:]
-    if len(body) != n:
-        raise DataFormatError(
-            f"{path}: expected {n} data bytes, found {len(body)}")
+    if len(body) != n:   # a gzip body is cut one byte past n
+        raise DataFormatError(f"{path}: expected {n} data bytes, found "
+                              f"{'more' if len(body) > n else len(body)}")
     return np.frombuffer(body, dtype=np.uint8).reshape(dims).copy()
 
 

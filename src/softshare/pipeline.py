@@ -30,7 +30,7 @@ artifacts would see.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -154,7 +154,7 @@ def stage_encode(cfg: ExperimentConfig, data: MnistDataset, emit: Emit) -> dict:
     report.error_after = float(evaluate_blob(bpath, qpath, data.test))
     emit(f"compression rate {report.compression_rate:.2f}, test error "
          f"{report.error_before:.4f} -> {report.error_after:.4f}")
-    report_dict = report.as_dict()
+    report_dict = asdict(report)
     report_dict["n_components_final"] = q.means.shape[0]
     (out / "report.json").write_text(
         json.dumps(report_dict, sort_keys=True, indent=2) + "\n")

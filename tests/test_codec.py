@@ -3,6 +3,7 @@
 Expected values in the hand cases below are worked out by hand first;
 round-trip properties are driven by hypothesis.
 """
+import dataclasses
 import hashlib
 import math
 import struct
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softshare.codec import (
-    BitReader,
-    BitWriter,
     CsrMatrix,
     HuffmanTable,
+    _canonical,
+    _pack_bits,
+    _read_fixed,
     build_codebook,
     decode_network,
     encode_layer,
@@ -38,51 +40,35 @@ from softshare.postprocess import QuantizedLayer, QuantizedNetwork
 # ---------------------------------------------------------------- bit IO
 
 def test_bit_writer_packs_msb_first():
-    w = BitWriter()
-    w.write(1, 1)      # 1
-    w.write(0b101, 3)  # 1101
-    w.write(0b0110, 4) # 11010110 -> 0xD6
-    assert w.getvalue() == bytes([0xD6])
-    assert w.bit_count == 8
+    # 1, 101, 0110 -> 11010110 = 0xD6
+    assert _pack_bits([1, 0b101, 0b0110], [1, 3, 4]) == (bytes([0xD6]), 8)
 
 
 def test_bit_writer_pads_final_byte_with_zeros():
-    w = BitWriter()
-    w.write(0b11, 2)
-    assert w.getvalue() == bytes([0b11000000])
-    assert w.bit_count == 2
+    assert _pack_bits([0b11], [2]) == (bytes([0b11000000]), 2)
 
 
-def test_bit_writer_rejects_overflow():
-    w = BitWriter()
-    with pytest.raises(ConfigurationError):
-        w.write(4, 2)
-    with pytest.raises(ConfigurationError):
-        w.write(0, 0)
-    with pytest.raises(ConfigurationError):
-        w.write(-1, 3)
+def _read_fields(data, widths):
+    """Consecutive fields of the given widths, read one at a time."""
+    starts = np.cumsum([0] + widths[:-1])
+    return [int(_read_fixed(data, s, n, 1)[0]) for s, n in zip(starts, widths)]
 
 
 def test_bit_reader_inverts_writer():
     fields = [(5, 3), (0, 1), (1023, 10), (1, 2), (77, 7)]
-    w = BitWriter()
-    for v, n in fields:
-        w.write(v, n)
-    r = BitReader(w.getvalue())
-    assert [r.read(n) for _, n in fields] == [v for v, _ in fields]
+    data, _ = _pack_bits([v for v, _ in fields], [n for _, n in fields])
+    assert _read_fields(data, [n for _, n in fields]) == [v for v, _ in fields]
     with pytest.raises(DecodeError):
-        BitReader(b"\xff").read(9)
+        _read_fixed(b"\xff", 0, 9, 1)
 
 
 @given(st.lists(st.tuples(st.integers(1, 24), st.integers(0, 2**24 - 1)),
                 min_size=1, max_size=50))
 def test_bit_io_round_trips(fields):
     fields = [(n, v & ((1 << n) - 1)) for n, v in fields]
-    w = BitWriter()
-    for n, v in fields:
-        w.write(v, n)
-    r = BitReader(w.getvalue())
-    assert [r.read(n) for n, _ in fields] == [v for _, v in fields]
+    data, nbits = _pack_bits([v for _, v in fields], [n for n, _ in fields])
+    assert nbits == sum(n for n, _ in fields)
+    assert _read_fields(data, [n for n, _ in fields]) == [v for _, v in fields]
 
 
 # ------------------------------------------------------------------ CSR
@@ -126,28 +112,38 @@ def test_csr_round_trips(rows, cols, seed, density):
 
 # ------------------------------------------------------- relative index
 
+def _rel_encode_row(indices, values, p):
+    """rel_encode of a single row given as lists."""
+    ic = np.array(indices, dtype=np.int64)
+    return rel_encode(ic, np.array(values, dtype=np.float64),
+                      np.array([0, ic.size]), p)
+
+
+def _entries(gaps, values):
+    return list(zip(gaps.tolist(), values.tolist()))
+
+
 def test_rel_encode_hand_case_with_filler():
     # p=2 means spans of 4: reaching column 5 from 0 needs one filler
-    stream = rel_encode([0, 5], [7.0, 9.0], p=2)
-    assert stream.entries == [(0, 7.0), (3, 0.0), (0, 9.0)]
-    assert rel_decode(stream) == ([0, 5], [7.0, 9.0])
+    gaps, values = _rel_encode_row([0, 5], [7.0, 9.0], p=2)
+    assert _entries(gaps, values) == [(0, 7.0), (3, 0.0), (0, 9.0)]
+    rows, cols, kept = rel_decode(gaps, values, np.array([0, 2]), 6)
+    assert (rows.tolist(), cols.tolist(), kept.tolist()) == ([0, 0], [0, 5], [7.0, 9.0])
 
 
 def test_rel_encode_gap_exactly_span_needs_no_filler():
-    stream = rel_encode([3], [1.5], p=2)
-    assert stream.entries == [(3, 1.5)]
+    assert _entries(*_rel_encode_row([3], [1.5], p=2)) == [(3, 1.5)]
     # one past the span does need a filler
-    stream = rel_encode([4], [1.5], p=2)
-    assert stream.entries == [(3, 0.0), (0, 1.5)]
+    assert _entries(*_rel_encode_row([4], [1.5], p=2)) == [(3, 0.0), (0, 1.5)]
 
 
 def test_rel_encode_rejects_bad_input():
     with pytest.raises(ConfigurationError, match="strictly increasing"):
-        rel_encode([3, 3], [1.0, 1.0], p=4)
+        _rel_encode_row([3, 3], [1.0, 1.0], p=4)
     with pytest.raises(ConfigurationError, match="bit width"):
-        rel_encode([0], [1.0], p=0)
+        _rel_encode_row([0], [1.0], p=0)
     with pytest.raises(ValueError):
-        rel_encode([0, 1], [1.0], p=4)  # length mismatch
+        _rel_encode_row([0, 1], [1.0], p=4)  # length mismatch
 
 
 @given(st.integers(1, 8),
@@ -157,28 +153,22 @@ def test_rel_round_trips(p, index_set, seed):
     indices = sorted(index_set)
     rng = np.random.default_rng(seed)
     values = list(rng.choice([-1.5, 0.25, 3.0], size=len(indices)))
-    stream = rel_encode(indices, values, p)
-    got_idx, got_val = rel_decode(stream)
-    assert got_idx == indices
-    assert got_val == values
+    gaps, entry_values = _rel_encode_row(indices, values, p)
+    _, got_idx, got_val = rel_decode(gaps, entry_values,
+                                     np.array([0, len(indices)]), 301)
+    assert got_idx.tolist() == indices
+    assert got_val.tolist() == values
 
 
 # -------------------------------------------------------------- codebook
 
 def test_codebook_hand_case():
-    cb, idx = build_codebook([0.5, -1.0, 0.5, 0.0, 3.0])
-    np.testing.assert_array_equal(cb.table, [-1.0, 0.0, 0.5, 3.0])
-    assert cb.width == 2
+    values = np.array([0.5, -1.0, 0.5, 0.0, 3.0])
+    table, idx = build_codebook(values)
+    np.testing.assert_array_equal(table, [-1.0, 0.0, 0.5, 3.0])
+    assert idx.dtype == np.int64
     np.testing.assert_array_equal(idx, [2, 0, 2, 1, 3])
-    np.testing.assert_array_equal(cb.table[idx], [0.5, -1.0, 0.5, 0.0, 3.0])
-
-
-def test_codebook_width_rule():
-    assert build_codebook([1.0])[0].width == 1
-    assert build_codebook([1.0, 2.0])[0].width == 1
-    assert build_codebook([1.0, 2.0, 3.0])[0].width == 2
-    assert build_codebook(np.arange(256.0))[0].width == 8
-    assert build_codebook(np.arange(257.0))[0].width == 9
+    np.testing.assert_array_equal(table[idx], values)
 
 
 # --------------------------------------------------------------- Huffman
@@ -190,20 +180,21 @@ def test_huffman_hand_case_five_two_one_one():
     np.testing.assert_array_equal(table.lengths, [1, 2, 3, 3])
     assert bits == 15
     assert len(payload) == 2
-    assert huffman_decode(table, payload, len(symbols)) == symbols
+    assert huffman_decode(table, payload, len(symbols)).tolist() == symbols
 
 
 def test_huffman_single_symbol_costs_one_bit():
     table, payload, bits = huffman_encode([4] * 9, 6)
     assert bits == 9
     assert table.lengths[4] == 1 and table.lengths.sum() == 1
-    assert huffman_decode(table, payload, 9) == [4] * 9
+    assert huffman_decode(table, payload, 9).tolist() == [4] * 9
 
 
 def test_huffman_codes_are_prefix_free_and_canonical():
     symbols = [0] * 8 + [1] * 4 + [2] * 2 + [3] + [4]
     table, _, _ = huffman_encode(symbols, 5)
-    codes = table.codes()
+    syms, lens, cs = _canonical(table.lengths)
+    codes = {s: (c, l) for s, l, c in zip(syms.tolist(), lens.tolist(), cs.tolist())}
     bitstrings = {format(c, f"0{l}b") for c, l in codes.values()}
     assert len(bitstrings) == len(codes)
     for a in bitstrings:
@@ -252,7 +243,7 @@ def test_huffman_round_trips(alphabet, length, seed):
     rng = np.random.default_rng(seed)
     symbols = rng.integers(0, alphabet, size=length).tolist()
     table, payload, bits = huffman_encode(symbols, alphabet)
-    assert huffman_decode(table, payload, length) == symbols
+    assert huffman_decode(table, payload, length).tolist() == symbols
     assert len(payload) == (bits + 7) // 8
 
 
@@ -328,7 +319,7 @@ def test_encode_network_round_trip():
     assert report.total_params == 6 * 10 + 3 * 6
     assert report.compression_rate == 32 * report.total_params / report.total_bits
     assert report.payload_compression_rate > report.compression_rate
-    d = report.as_dict()
+    d = dataclasses.asdict(report)
     assert d["layers"][0]["prune_fraction"] == q.prune_fraction(0)
 
 
@@ -474,9 +465,9 @@ def test_huffman_decode_rejects_more_symbols_than_bits():
 def test_huffman_decodes_a_47_bit_code():
     # lengths 1, 2, ..., 47, 47: complete, the last symbol's code is 47 ones
     table = HuffmanTable(list(range(1, 48)) + [47])
-    codes = table.codes()
-    w = BitWriter()
-    for s in (47, 0, 46, 3):
-        w.write(*codes[s])
-    assert codes[47] == ((1 << 47) - 1, 47)
-    assert huffman_decode(table, w.getvalue(), 4) == [47, 0, 46, 3]
+    syms, lens, codes = _canonical(table.lengths)
+    code_of = dict(zip(syms.tolist(), zip(codes.tolist(), lens.tolist())))
+    assert code_of[47] == ((1 << 47) - 1, 47)
+    message = [code_of[s] for s in (47, 0, 46, 3)]
+    payload, _ = _pack_bits([c for c, _ in message], [l for _, l in message])
+    assert huffman_decode(table, payload, 4).tolist() == [47, 0, 46, 3]

@@ -1,4 +1,6 @@
 """Flat key=value experiment configuration."""
+from dataclasses import fields
+
 import pytest
 
 from softshare.config import (
@@ -43,6 +45,17 @@ def test_parse_assignments_coerces_types():
     assert got["pi0_trainable"] is True
     assert got["tau_scales_hyper"] is False
     assert got["layer_sizes"] == (20, 10, 5)
+
+
+def _as_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def test_every_key_parses_its_default_written_as_text():
+    for f in fields(ExperimentConfig):
+        got = parse_assignments([f"{f.name}={_as_text(f.default)}"])
+        assert got == {f.name: f.default}, f.name
+        assert type(got[f.name]) is type(f.default), f.name
 
 
 def test_parse_assignments_rejects_garbage():

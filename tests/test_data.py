@@ -1,5 +1,7 @@
 """IDX parsing, the MNIST directory layout, and the synthetic corpus."""
 import gzip
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -75,10 +77,42 @@ def test_read_idx_error_cases(tmp_path):
     with pytest.raises(DataFormatError, match="expected 5 data bytes"):
         read_idx(wrong_body)
 
+    # 65536^4 = 2^64 data bytes, which wraps to 0 in 64-bit arithmetic
+    huge_dims = tmp_path / "huge.idx"
+    huge_dims.write_bytes(b"\x00\x00\x08\x04" + (65536).to_bytes(4, "big") * 4)
+    with pytest.raises(DataFormatError, match=f"expected {2**64} data bytes"):
+        read_idx(huge_dims)
+
     bad_gz = tmp_path / "broken.idx.gz"
     bad_gz.write_bytes(b"\x1f\x8b" + b"\x00" * 20)
     with pytest.raises(DataFormatError, match="bad gzip"):
         read_idx(bad_gz)
+
+
+def test_read_idx_inflates_no_further_than_the_header_implies(tmp_path):
+    # the header claims 16 data bytes; the ~64 KB stream inflates to 64 MB
+    pack = zlib.compressobj(9, zlib.DEFLATED, 31)
+    chunks = [pack.compress(b"\x00\x00\x08\x01" + (16).to_bytes(4, "big"))]
+    chunks += [pack.compress(bytes(1 << 20)) for _ in range(64)]
+    bomb = tmp_path / "bomb.idx.gz"
+    bomb.write_bytes(b"".join(chunks) + pack.flush())
+    assert bomb.stat().st_size < 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="expected 16 data bytes"):
+            read_idx(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_read_idx_rejects_a_truncated_gzip_stream(tmp_path):
+    path = tmp_path / "truncated.idx.gz"
+    write_idx(path, np.arange(200, dtype=np.uint8))
+    path.write_bytes(path.read_bytes()[:-6])   # drop most of the gzip trailer
+    with pytest.raises(DataFormatError, match="bad gzip stream"):
+        read_idx(path)
 
 
 def _write_fake_mnist(d, n_train=30, n_test=10, side=5, bad_label=False):
