@@ -19,7 +19,9 @@ share one format.
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -63,8 +65,21 @@ def save_checkpoint(net: Network, path, mixture: Optional[MixtureModel] = None,
             else:
                 pairs.extend((0.0, 0.0))
         parts.append(struct.pack("<B6d", hflags, *pairs))
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    write_file(path, b"".join(parts))
+
+
+def write_file(path, data: bytes) -> None:
+    """Write data to a sibling temporary file, then os.replace it over path
+    (making path's directory), so no interruption leaves half a file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Cursor:

@@ -65,7 +65,6 @@ class ExperimentConfig:
     lr_log_vars: float = 5e-4
     lr_logits: float = 5e-4
     subsample: int = 0
-    tau_scales_hyper: bool = True
 
     # mixture prior
     n_components: int = 16              # free components besides the zero spike
@@ -98,18 +97,29 @@ class ExperimentConfig:
             raise ConfigurationError("n_components must be >= 1")
         if not 0.0 < self.pi0 < 1.0:
             raise ConfigurationError("pi0 must lie in (0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigurationError("weight_decay must be >= 0")
+        if not self.tau >= 0:
+            raise ConfigurationError("tau must be >= 0")
         if not 1 <= self.p_fc <= 16 or not 1 <= self.p_conv <= 16:
             raise ConfigurationError("index bit widths must lie in [1, 16]")
+        if self.pretrain_epochs < 0:
+            raise ConfigurationError("pretrain_epochs must be >= 0")
+        if self.pretrain_batch_size < 1:
+            raise ConfigurationError("pretrain_batch_size must be >= 1")
+        if not self.pretrain_lr > 0:
+            raise ConfigurationError("pretrain_lr must be positive")
+        # each stage's config checks its keys: fail now, not after a stage ran
+        self.train_config()
+        self.merge_config()
+        self.hyper_config()
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             epochs=self.retrain_epochs, batch_size=self.batch_size,
             lr_weights=self.lr_weights, lr_means=self.lr_means,
             lr_log_vars=self.lr_log_vars, lr_logits=self.lr_logits,
-            subsample=self.subsample, tau_scales_hyper=self.tau_scales_hyper,
-            seed=self.seed,
+            subsample=self.subsample, seed=self.seed,
         )
 
     def merge_config(self) -> MergeConfig:

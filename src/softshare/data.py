@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_file
 from .errors import DataFormatError
 from .net import Batch
 
@@ -111,11 +112,7 @@ def write_idx(path, array: np.ndarray) -> None:
     header = struct.pack(">HBB", 0, IDX_UBYTE, a.ndim)
     header += struct.pack(f">{a.ndim}I", *a.shape)
     blob = header + a.tobytes()
-    path = Path(path)
-    if path.suffix == ".gz":
-        path.write_bytes(gzip.compress(blob, mtime=0))
-    else:
-        path.write_bytes(blob)
+    write_file(path, gzip.compress(blob, mtime=0) if Path(path).suffix == ".gz" else blob)
 
 
 def _to_batch(images: np.ndarray, labels: np.ndarray, name: str) -> Batch:

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_file
 from .codec import decode_network, encode_network
 from .config import ExperimentConfig
 from .data import MnistDataset, load_mnist, synthetic_digits
@@ -46,7 +46,7 @@ from .net import Batch, Layer, Network, error_loss_and_grad, evaluate, \
     flat_weights, iter_batches, make_network
 from .postprocess import QuantizedNetwork, load_quantized, merge_pass, \
     quantize, save_quantized
-from .train import AdamState, retrain, trace_to_csv
+from .train import layer_adams, retrain, step_layers, trace_to_csv
 
 Emit = Callable[[str], None]
 
@@ -72,20 +72,14 @@ def pretrain_network(cfg: ExperimentConfig, data: MnistDataset,
     """Adam training on the error loss with L2 weight decay."""
     net = make_network(cfg.layer_sizes, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    adams = [
-        (AdamState(l.weights.shape, cfg.pretrain_lr),
-         AdamState(l.biases.shape, cfg.pretrain_lr))
-        for l in net.layers
-    ]
+    adams = layer_adams(net, cfg.pretrain_lr)
+    wd = cfg.weight_decay
     for epoch in range(1, cfg.pretrain_epochs + 1):
         for batch in iter_batches(data.train.inputs, data.train.labels,
                                   cfg.pretrain_batch_size, rng):
             _, grads = error_loss_and_grad(net, batch)
-            for layer, (aw, ab), (dw, db) in zip(net.layers, adams, grads):
-                if cfg.weight_decay:
-                    dw = dw + cfg.weight_decay * layer.weights
-                layer.weights += aw.step(dw)
-                layer.biases += ab.step(db)
+            step_layers(net, adams, grads,
+                        [wd * l.weights for l in net.layers] if wd else None)
         if on_epoch is not None:
             on_epoch(epoch, evaluate(net, data.test))
     return net
@@ -98,20 +92,12 @@ def _pretrained_path(cfg: ExperimentConfig) -> Path:
     return Path(cfg.output_dir) / "pretrained.swsc"
 
 
-def _out(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def stage_pretrain(cfg: ExperimentConfig, data: MnistDataset,
                    emit: Emit) -> Network:
     emit("pretraining")
     net = pretrain_network(
         cfg, data, lambda ep, err: emit(f"pretrain epoch {ep}: test error {err:.4f}"))
-    path = _pretrained_path(cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(net, path)
+    save_checkpoint(net, _pretrained_path(cfg))
     return net
 
 
@@ -131,9 +117,9 @@ def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
         on_epoch=lambda r: emit(
             f"retrain epoch {r.epoch}: error loss {r.error_loss:.4f} "
             f"complexity {r.complexity_loss:.1f} test error {r.test_error:.4f}"))
-    out = _out(cfg)
+    out = Path(cfg.output_dir)
     save_checkpoint(net, out / "model.swsc", mixture, hyper)
-    (out / "trace.csv").write_text(trace_to_csv(trace))
+    write_file(out / "trace.csv", trace_to_csv(trace).encode())
     merged = merge_pass(mixture, cfg.merge_config())
     emit(f"components after merging: {merged.n_components}")
     q = quantize(net, merged)
@@ -148,7 +134,7 @@ def stage_encode(cfg: ExperimentConfig, data: MnistDataset, emit: Emit) -> dict:
         raise ConfigurationError(f"no quantized model at {qpath}; run compress first")
     q = load_quantized(qpath)
     blob, report = encode_network(q, cfg.p_fc, cfg.p_conv)
-    bpath.write_bytes(blob)
+    write_file(bpath, blob)
     pretrained, _, _ = load_checkpoint(_pretrained_path(cfg))
     report.error_before = float(evaluate(pretrained, data.test))
     report.error_after = float(evaluate_blob(bpath, qpath, data.test))
@@ -156,8 +142,8 @@ def stage_encode(cfg: ExperimentConfig, data: MnistDataset, emit: Emit) -> dict:
          f"{report.error_before:.4f} -> {report.error_after:.4f}")
     report_dict = asdict(report)
     report_dict["n_components_final"] = q.means.shape[0]
-    (out / "report.json").write_text(
-        json.dumps(report_dict, sort_keys=True, indent=2) + "\n")
+    write_file(out / "report.json",
+               (json.dumps(report_dict, sort_keys=True, indent=2) + "\n").encode())
     return report_dict
 
 

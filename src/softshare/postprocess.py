@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import _Cursor
+from .checkpoint import _Cursor, write_file
 from .errors import ConfigurationError, DataFormatError
 from .mixture import MixtureModel, prior_pass
 from .net import ACTIVATIONS, Layer, Network, flat_weights, split_like_weights
@@ -227,8 +227,7 @@ def save_quantized(q: QuantizedNetwork, path) -> None:
         dt = "<u1" if width == 1 else "<u2"
         parts.append(np.ascontiguousarray(ql.assignments, dtype=dt).tobytes())
         parts.append(ql.biases.astype("<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    write_file(path, b"".join(parts))
 
 
 def load_quantized(path) -> QuantizedNetwork:

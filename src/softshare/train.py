@@ -2,9 +2,9 @@
 
 The objective is L = L_err + tau * L_comp, where L_err is the mean
 cross-entropy over a batch and L_comp = -(log p(w) + hyper terms) covers
-the full weight set regardless of batch size. Four separate Adam groups
-track the network parameters, the free means, the log variances, and the
-mixing logits, so each block can run at its own learning rate.
+the full weight set regardless of batch size. Four Adam groups (network,
+means, log variances, logits) each run at their own learning rate; the
+network step, step_layers, is also pretraining's, with L2 for the prior.
 
 Quantities pinned by the mixture mode (the zero-spike mean, logits[0] when
 pi_0 is fixed) receive exactly-zero gradients; Adam leaves them bit-identical.
@@ -29,7 +29,6 @@ from .errors import ConfigurationError, DivergenceError
 from .mixture import (
     HyperPriorConfig,
     MixtureModel,
-    hyper_grads,
     hyper_log_density,
     log_prior,
     prior_grads,
@@ -54,7 +53,6 @@ class TrainConfig:
     lr_log_vars: float = 5e-4
     lr_logits: float = 5e-4
     subsample: int = 0          # weights per prior-gradient draw; 0 = use all
-    tau_scales_hyper: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -63,21 +61,21 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         for name in ("lr_weights", "lr_means", "lr_log_vars", "lr_logits"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.subsample < 0:
             raise ConfigurationError("subsample must be >= 0")
 
 
-class AdamState:
-    """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+# Adam's moment decay rates and denominator guard, as in Kingma & Ba (2015)
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, shape, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+
+class AdamState:
+    """Standard Adam with bias correction."""
+
+    def __init__(self, shape, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
@@ -85,11 +83,26 @@ class AdamState:
     def step(self, grad: np.ndarray, lr_scale: float = 1.0) -> np.ndarray:
         """Returns the update to ADD to the parameter for descent on grad."""
         self.t += 1
-        self.m += (1.0 - self.beta1) * (grad - self.m)
-        self.v += (1.0 - self.beta2) * (grad * grad - self.v)
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return -(self.lr * lr_scale) * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m += (1.0 - ADAM_B1) * (grad - self.m)
+        self.v += (1.0 - ADAM_B2) * (grad * grad - self.v)
+        m_hat = self.m / (1.0 - ADAM_B1 ** self.t)
+        v_hat = self.v / (1.0 - ADAM_B2 ** self.t)
+        return -(self.lr * lr_scale) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def layer_adams(net: Network, lr: float) -> list[tuple[AdamState, AdamState]]:
+    """A (weights, biases) Adam pair per layer, all at learning rate lr."""
+    return [(AdamState(l.weights.shape, lr), AdamState(l.biases.shape, lr))
+            for l in net.layers]
+
+
+def step_layers(net: Network, adams, grads, extra=None) -> None:
+    """One Adam step per layer; extra[i], if given, joins layer i's dw."""
+    for i, (layer, (adam_w, adam_b), (dw, db)) in enumerate(zip(net.layers, adams, grads)):
+        if extra is not None:
+            dw = dw + extra[i]
+        layer.weights += adam_w.step(dw)
+        layer.biases += adam_b.step(db)
 
 
 @dataclass
@@ -151,11 +164,7 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
     tau = mixture.tau
     use_prior = tau != 0.0 or (hyper is not None and hyper.any_enabled)
 
-    adam_layers = [
-        (AdamState(l.weights.shape, config.lr_weights),
-         AdamState(l.biases.shape, config.lr_weights))
-        for l in net.layers
-    ]
+    adam_layers = layer_adams(net, config.lr_weights)
     adam_means = AdamState(mixture.means.shape, config.lr_means)
     adam_log_vars = AdamState(mixture.log_vars.shape, config.lr_log_vars)
     adam_logits = AdamState(mixture.logits.shape, config.lr_logits)
@@ -180,39 +189,22 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
             err_loss, layer_grads = error_loss_and_grad(net, batch)
             batch_losses.append(err_loss)
 
+            prior_w = None
             if use_prior:
                 w = flat_weights(net)
                 if config.subsample and config.subsample < w.shape[0]:
                     g = subsampled_prior_grads(w, mixture, hyper, config.subsample, rng)
                 else:
                     g = prior_grads(w, mixture, hyper)
-                d_means = tau * g.d_means
-                d_log_vars = tau * g.d_log_vars
-                d_logits = tau * g.d_logits
-                # hyper terms live inside d_log_vars / d_logits; when tau is
-                # not meant to scale them, swap in the unscaled contribution
-                if not config.tau_scales_hyper and hyper is not None and hyper.any_enabled:
-                    h_lv, h_lg = hyper_grads(mixture, hyper)
-                    d_log_vars += (1.0 - tau) * h_lv
-                    d_logits += (1.0 - tau) * h_lg
+                # descent on L = L_err - tau * log joint: every gradient is
+                # the log-density gradient scaled by -tau, hyper terms included
+                g.d_weights *= -tau     # in place: a copy is one more weight-sized array
                 prior_w = split_like_weights(net, g.d_weights)
-            else:
-                prior_w = None
-
-            for li, (layer, (adam_w, adam_b)) in enumerate(zip(net.layers, adam_layers)):
-                dw, db = layer_grads[li]
-                if prior_w is not None:
-                    dw = dw - tau * prior_w[li]
-                layer.weights += adam_w.step(dw)
-                layer.biases += adam_b.step(db)
-
-            if use_prior:
-                # descent on L = L_err - tau * log joint: mixture gradient
-                # is the negated (scaled) log-density gradient
-                mixture.means += adam_means.step(-d_means, mixture_lr_scale)
-                mixture.log_vars += adam_log_vars.step(-d_log_vars, mixture_lr_scale)
-                mixture.logits += adam_logits.step(-d_logits, mixture_lr_scale)
+                mixture.means += adam_means.step(-tau * g.d_means, mixture_lr_scale)
+                mixture.log_vars += adam_log_vars.step(-tau * g.d_log_vars, mixture_lr_scale)
+                mixture.logits += adam_logits.step(-tau * g.d_logits, mixture_lr_scale)
                 np.maximum(mixture.log_vars, log_floor, out=mixture.log_vars)
+            step_layers(net, adam_layers, layer_grads, prior_w)
 
         err_mean = float(np.mean(batch_losses)) if batch_losses else float("nan")
         row = snapshot(epoch, err_mean)

@@ -1,8 +1,10 @@
 """Full-precision checkpoint container round trips and corruption handling."""
+import os
+
 import numpy as np
 import pytest
 
-from softshare.checkpoint import load_checkpoint, save_checkpoint
+from softshare.checkpoint import load_checkpoint, save_checkpoint, write_file
 from softshare.errors import DataFormatError
 from softshare.mixture import HyperPriorConfig, MixtureModel, init_mixture
 from softshare.net import flat_weights, make_network
@@ -101,3 +103,27 @@ def test_load_rejects_corruption(tmp_path):
     bad.write_bytes(blob + b"\x00\x00")
     with pytest.raises(DataFormatError, match="trailing"):
         load_checkpoint(bad)
+
+
+def test_write_file_creates_directories_and_replaces(tmp_path):
+    path = tmp_path / "a" / "b" / "blob.bin"
+    write_file(path, b"first")
+    write_file(path, b"second")
+    assert path.read_bytes() == b"second"
+    assert os.listdir(path.parent) == ["blob.bin"]
+
+
+def test_interrupted_write_keeps_the_earlier_artifact(tmp_path, monkeypatch):
+    path = tmp_path / "model.swsc"
+    save_checkpoint(_net(0), path)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        assert os.path.getsize(src) > 0     # the new bytes were on their way
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_checkpoint(_net(1), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.swsc"]

@@ -35,15 +35,28 @@ def test_validation_rejects_bad_combinations():
     ExperimentConfig(dataset="mnist", data_dir="/tmp/x")  # ok with a dir
 
 
+@pytest.mark.parametrize("key, value", [
+    ("pretrain_epochs", -1), ("pretrain_batch_size", 0), ("pretrain_lr", 0.0),
+    ("retrain_epochs", -1), ("batch_size", 0), ("lr_means", 0.0), ("subsample", -1),
+    ("lr_weights", float("nan")), ("pretrain_lr", float("nan")),
+    ("weight_decay", float("nan")), ("tau", -1e-3), ("tau", float("nan")),
+    ("kl_threshold", -1.0), ("max_passes", -1),
+    ("gamma_zero_alpha", 0.5), ("gamma_rest_alpha", 1.0), ("beta_pi0_alpha", 1.0),
+])
+def test_every_stage_setting_is_checked_when_the_config_is_built(key, value):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**{key: value})
+
+
 def test_parse_assignments_coerces_types():
     got = parse_assignments([
-        "seed=7", "tau=1e-4", "pi0_trainable = yes", "tau_scales_hyper=off",
+        "seed=7", "tau=1e-4", "pi0_trainable = yes",
         "layer_sizes = 20, 10, 5", "dataset=synthetic",
     ])
     assert got["seed"] == 7 and isinstance(got["seed"], int)
     assert got["tau"] == 1e-4
     assert got["pi0_trainable"] is True
-    assert got["tau_scales_hyper"] is False
+    assert parse_assignments(["pi0_trainable=off"])["pi0_trainable"] is False
     assert got["layer_sizes"] == (20, 10, 5)
 
 

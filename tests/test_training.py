@@ -14,7 +14,9 @@ from softshare.train import (
     TraceRow,
     TrainConfig,
     complexity_loss,
+    layer_adams,
     retrain,
+    step_layers,
     trace_to_csv,
 )
 
@@ -50,6 +52,25 @@ def test_adam_lr_scale_scales_update_only():
     # moment state must not depend on the scale
     np.testing.assert_array_equal(a.m, b.m)
     np.testing.assert_array_equal(a.v, b.v)
+
+
+@pytest.mark.parametrize("with_extra", [False, True])
+def test_step_layers_is_one_adam_step_per_array(with_extra):
+    rng = np.random.default_rng(5)
+    net, ref = make_network((6, 5, 3), seed=1), make_network((6, 5, 3), seed=1)
+    adams, ref_adams = layer_adams(net, 1e-2), layer_adams(ref, 1e-2)
+    for _ in range(3):
+        grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
+                 for l in net.layers]
+        extra = ([rng.normal(size=l.weights.shape) for l in net.layers]
+                 if with_extra else None)
+        step_layers(net, adams, grads, extra)
+        for i, (layer, (aw, ab), (dw, db)) in enumerate(zip(ref.layers, ref_adams, grads)):
+            layer.weights += aw.step(dw + extra[i] if with_extra else dw)
+            layer.biases += ab.step(db)
+    for a, b in zip(net.layers, ref.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.biases.tobytes() == b.biases.tobytes()
 
 
 def test_train_config_validation():
@@ -114,16 +135,16 @@ def test_fixed_quantities_stay_bit_identical():
     assert not np.array_equal(mx2.means[1:], mx.means[1:])
 
 
-def test_tau_scales_hyper_flag_changes_trajectory():
+def test_tau_scales_the_hyper_prior_terms_too():
+    # a strong Gamma pin would move the variances if it acted unscaled;
+    # with tau = 0 the whole log joint, hyper terms included, weighs nothing
     hyper = HyperPriorConfig(gamma_zero=(50.0, 1.0), gamma_rest=(20.0, 1.0))
-    results = []
-    for flag in (True, False):
-        net, mx, data = _tiny_problem(tau=1e-3)
-        cfg = TrainConfig(epochs=2, batch_size=16, tau_scales_hyper=flag)
-        _, mx2, _ = retrain(net, mx, data, cfg, hyper)
-        assert np.all(np.isfinite(mx2.log_vars))
-        results.append(mx2.log_vars.copy())
-    assert not np.array_equal(results[0], results[1])
+    net, mx, data = _tiny_problem(tau=0.0)
+    net2, mx2, _ = retrain(net, mx, data, TrainConfig(epochs=2, batch_size=16), hyper)
+    for got, want in ((mx2.means, mx.means), (mx2.log_vars, mx.log_vars),
+                      (mx2.logits, mx.logits)):
+        assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(flat_weights(net2), flat_weights(net))
 
 
 def test_variance_floor_is_enforced():
