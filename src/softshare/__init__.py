@@ -42,7 +42,6 @@ from .net import Batch, Layer, Network, error_loss_and_grad, evaluate, forward, 
     make_network
 from .pipeline import pretrain_network, run_pipeline
 from .postprocess import (
-    MergeConfig,
     QuantizedNetwork,
     kl_gaussian,
     load_quantized,
@@ -51,7 +50,7 @@ from .postprocess import (
     quantize,
     save_quantized,
 )
-from .train import TrainConfig, retrain, trace_to_csv
+from .train import retrain, trace_to_csv
 
 __version__ = "0.1.0"
 

@@ -26,6 +26,7 @@ from .errors import ConfigurationError, DataFormatError, NumericError
 from .net import evaluate
 from .pipeline import _pretrained_path, evaluate_blob, load_dataset, \
     run_pipeline, stage_compress, stage_encode, stage_pretrain
+from .postprocess import load_quantized
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -115,7 +116,8 @@ def cmd_eval(args) -> int:
         net, _, _ = load_checkpoint(out / "model.swsc")
         err = evaluate(net, data.test)
     else:
-        err = evaluate_blob(out / "weights.swsb", out / "quantized.bin", data.test)
+        q = load_quantized(out / "quantized.bin")
+        err = evaluate_blob((out / "weights.swsb").read_bytes(), q, data.test)
     print(f"test error {err:.4f}")
     return 0
 

@@ -435,9 +435,9 @@ def encode_network(q: QuantizedNetwork, p_fc: int = 5,
                    p_conv: int = 8) -> tuple[bytes, CompressionReport]:
     """Encode every layer of a quantized network into one blob.
 
-    All layers of a feedforward Network are fully connected, so p_fc
-    applies; p_conv is part of the format for convolutional matrices
-    stored through the same container.
+    Every layer of a feedforward Network is fully connected: each is
+    tagged LAYER_TAG_FC and coded at index width p_fc. p_conv is never
+    read; it is accepted only so that existing callers keep working.
     """
     encoded = [encode_layer(q.means[ql.assignments], p_fc, LAYER_TAG_FC,
                             q.prune_fraction(li)) for li, ql in enumerate(q.layers)]

@@ -2,19 +2,20 @@
 
 A config file holds `key = value` lines ('#' comments allowed); the same
 keys can be overridden on the command line. Keys are grouped below by the
-stage they feed. Hyper-prior (alpha, beta) pairs use alpha = 0 to mean
-"disabled" so the default run matches the plain mixture objective.
+stage they feed; every stage reads its keys from ExperimentConfig itself.
+Each key is checked once, when the config is built, and an error names
+the key. Hyper-prior (alpha, beta) pairs use alpha = 0 to mean "disabled"
+so the default run matches the plain mixture objective.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
 from .mixture import HyperPriorConfig
-from .postprocess import MergeConfig
-from .train import TrainConfig
 
 
 def _parse_bool(s: str) -> bool:
@@ -93,38 +94,29 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown dataset kind {self.dataset!r}")
         if self.dataset in ("mnist", "idx") and not self.data_dir:
             raise ConfigurationError(f"dataset {self.dataset!r} needs data_dir")
-        if self.n_components < 1:
-            raise ConfigurationError("n_components must be >= 1")
+        if not all(n >= 1 for n in self.layer_sizes):
+            raise ConfigurationError(
+                f"layer_sizes must all be >= 1, got {self.layer_sizes}")
         if not 0.0 < self.pi0 < 1.0:
             raise ConfigurationError("pi0 must lie in (0, 1)")
-        if not self.weight_decay >= 0:
-            raise ConfigurationError("weight_decay must be >= 0")
-        if not self.tau >= 0:
-            raise ConfigurationError("tau must be >= 0")
-        if not 1 <= self.p_fc <= 16 or not 1 <= self.p_conv <= 16:
-            raise ConfigurationError("index bit widths must lie in [1, 16]")
-        if self.pretrain_epochs < 0:
-            raise ConfigurationError("pretrain_epochs must be >= 0")
-        if self.pretrain_batch_size < 1:
-            raise ConfigurationError("pretrain_batch_size must be >= 1")
-        if not self.pretrain_lr > 0:
-            raise ConfigurationError("pretrain_lr must be positive")
-        # each stage's config checks its keys: fail now, not after a stage ran
-        self.train_config()
-        self.merge_config()
-        self.hyper_config()
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.retrain_epochs, batch_size=self.batch_size,
-            lr_weights=self.lr_weights, lr_means=self.lr_means,
-            lr_log_vars=self.lr_log_vars, lr_logits=self.lr_logits,
-            subsample=self.subsample, seed=self.seed,
-        )
-
-    def merge_config(self) -> MergeConfig:
-        return MergeConfig(kl_threshold=self.kl_threshold,
-                           max_passes=self.max_passes)
+        for key in ("p_fc", "p_conv"):
+            if not 1 <= getattr(self, key) <= 16:
+                raise ConfigurationError(f"{key}: index bit widths must lie in [1, 16]")
+        # "not x >= 0" and "not x > 0", so that NaN fails too
+        for key in ("pretrain_epochs", "retrain_epochs", "subsample", "max_passes",
+                    "weight_decay", "tau"):
+            if not getattr(self, key) >= 0:
+                raise ConfigurationError(f"{key} must be >= 0")
+        for key in ("pretrain_batch_size", "batch_size", "n_components"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
+        for key in ("pretrain_lr", "lr_weights", "lr_means", "lr_log_vars",
+                    "lr_logits"):
+            if not getattr(self, key) > 0:
+                raise ConfigurationError(f"{key} must be positive")
+        if not math.isfinite(self.kl_threshold) or self.kl_threshold < 0:
+            raise ConfigurationError("kl_threshold must be finite and >= 0")
+        self.hyper_config()     # fail now, not after a stage ran
 
     def hyper_config(self):
         cfg = HyperPriorConfig(

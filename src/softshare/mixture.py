@@ -137,7 +137,8 @@ class HyperPriorConfig:
             if alpha <= 1.0 or beta <= 0.0:
                 # alpha > 1 so the density has an interior mode.
                 raise ConfigurationError(
-                    f"{name} needs alpha > 1 and beta > 0, got ({alpha}, {beta})"
+                    f"{name} needs {name}_alpha > 1 and {name}_beta > 0, "
+                    f"got ({alpha}, {beta})"
                 )
             setattr(self, name, (alpha, beta))
 

@@ -116,6 +116,8 @@ def make_network(sizes, seed=0) -> Network:
     """
     if len(sizes) < 2:
         raise ConfigurationError("need at least input and output sizes")
+    if not all(n >= 1 for n in sizes):
+        raise ConfigurationError(f"layer sizes must all be >= 1, got {tuple(sizes)}")
     rng = np.random.default_rng(seed)
     layers = []
     for k, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):

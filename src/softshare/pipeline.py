@@ -17,14 +17,18 @@ at ``pretrained_checkpoint``):
     weights.swsb      bit-packed sparse encoding of the quantized weights
     report.json       compression accounting plus before/after test error
 
+Every stage reads the one ExperimentConfig: pretraining its pretrain_*
+keys, retraining its retraining keys, merging kl_threshold and max_passes,
+encoding p_fc.
+
 run_pipeline loads the data once, pretrains only when no baseline exists,
 then compresses and encodes; the stagewise CLI calls the same stages one
 at a time, so both write the same bytes. In run_pipeline a failure raises
 with the stage name prefixed; artifacts written by earlier stages stay on
 disk. Reported error_before evaluates the stored pretrained checkpoint;
 error_after evaluates the network rebuilt from the decoded blob plus the
-stored biases, so the report measures exactly what a consumer of the
-artifacts would see.
+biases of quantized.bin, so the report measures exactly what a consumer of
+the artifacts would see.
 """
 
 from __future__ import annotations
@@ -113,14 +117,14 @@ def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
                            pi0_trainable=cfg.pi0_trainable)
     hyper = cfg.hyper_config()
     net, mixture, trace = retrain(
-        net, mixture, data.train, cfg.train_config(), hyper, data.test,
+        net, mixture, data.train, cfg, hyper, data.test,
         on_epoch=lambda r: emit(
             f"retrain epoch {r.epoch}: error loss {r.error_loss:.4f} "
             f"complexity {r.complexity_loss:.1f} test error {r.test_error:.4f}"))
     out = Path(cfg.output_dir)
     save_checkpoint(net, out / "model.swsc", mixture, hyper)
     write_file(out / "trace.csv", trace_to_csv(trace).encode())
-    merged = merge_pass(mixture, cfg.merge_config())
+    merged = merge_pass(mixture, cfg.kl_threshold, cfg.max_passes)
     emit(f"components after merging: {merged.n_components}")
     q = quantize(net, merged)
     save_quantized(q, out / "quantized.bin")
@@ -129,15 +133,15 @@ def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
 
 def stage_encode(cfg: ExperimentConfig, data: MnistDataset, emit: Emit) -> dict:
     out = Path(cfg.output_dir)
-    qpath, bpath = out / "quantized.bin", out / "weights.swsb"
+    qpath = out / "quantized.bin"
     if not qpath.exists():
         raise ConfigurationError(f"no quantized model at {qpath}; run compress first")
     q = load_quantized(qpath)
     blob, report = encode_network(q, cfg.p_fc, cfg.p_conv)
-    write_file(bpath, blob)
+    write_file(out / "weights.swsb", blob)
     pretrained, _, _ = load_checkpoint(_pretrained_path(cfg))
     report.error_before = float(evaluate(pretrained, data.test))
-    report.error_after = float(evaluate_blob(bpath, qpath, data.test))
+    report.error_after = float(evaluate_blob(blob, q, data.test))
     emit(f"compression rate {report.compression_rate:.2f}, test error "
          f"{report.error_before:.4f} -> {report.error_after:.4f}")
     report_dict = asdict(report)
@@ -167,11 +171,10 @@ def run_pipeline(cfg: ExperimentConfig,
     return PipelineResult(report=report, output_dir=Path(cfg.output_dir))
 
 
-def evaluate_blob(blob_path, quantized_path, test: Batch) -> float:
-    """Test error of the network rebuilt from an encoded blob plus the
-    biases and activations stored alongside the quantized model."""
-    q = load_quantized(quantized_path)
-    matrices = decode_network(Path(blob_path).read_bytes())
+def evaluate_blob(blob: bytes, q: QuantizedNetwork, test: Batch) -> float:
+    """Test error of the network decoded from an SWSB blob, with the biases
+    and activations of the quantized model it was encoded from."""
+    matrices = decode_network(blob)
     if len(matrices) != len(q.layers):
         raise ConfigurationError(
             "blob and quantized model disagree on layer count")

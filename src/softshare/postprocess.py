@@ -37,18 +37,6 @@ SWSQ_VERSION = 1
 
 
 @dataclass
-class MergeConfig:
-    kl_threshold: float = 1e-2   # symmetrized KL below this merges a pair
-    max_passes: int = 100        # upper bound on the number of merges
-
-    def __post_init__(self):
-        if not math.isfinite(self.kl_threshold) or self.kl_threshold < 0:
-            raise ConfigurationError("kl_threshold must be finite and >= 0")
-        if self.max_passes < 0:
-            raise ConfigurationError("max_passes must be >= 0")
-
-
-@dataclass
 class QuantizedLayer:
     assignments: np.ndarray   # (rows, cols) component indices, row-major
     biases: np.ndarray        # (rows,) full precision
@@ -181,16 +169,18 @@ def _best_merge_pair(m: MixtureModel, threshold: float):
     return best
 
 
-def merge_pass(m: MixtureModel, cfg: MergeConfig) -> MixtureModel:
-    """Repeatedly merge the closest pair while below threshold.
+def merge_pass(m: MixtureModel, kl_threshold: float,
+               max_passes: int) -> MixtureModel:
+    """Repeatedly merge the closest pair while its symmetrized KL is below
+    kl_threshold.
 
     KL distances are recomputed after every merge; at most max_passes
     merges happen. threshold 0 never merges (strict comparison).
     """
-    for _ in range(cfg.max_passes):
+    for _ in range(max_passes):
         if m.n_components <= 2:
             break
-        best = _best_merge_pair(m, cfg.kl_threshold)
+        best = _best_merge_pair(m, kl_threshold)
         if best is None:
             break
         m = merge_components(m, best[1], best[2])

@@ -5,6 +5,8 @@ cross-entropy over a batch and L_comp = -(log p(w) + hyper terms) covers
 the full weight set regardless of batch size. Four Adam groups (network,
 means, log variances, logits) each run at their own learning rate; the
 network step, step_layers, is also pretraining's, with L2 for the prior.
+Both loops are configured by the same ExperimentConfig: pretrain_network
+reads its pretrain_* keys, retrain its retraining keys.
 
 Quantities pinned by the mixture mode (the zero-spike mean, logits[0] when
 pi_0 is fixed) receive exactly-zero gradients; Adam leaves them bit-identical.
@@ -20,12 +22,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .config import ExperimentConfig
+from .errors import DivergenceError
 from .mixture import (
     HyperPriorConfig,
     MixtureModel,
@@ -42,29 +45,6 @@ VARIANCE_FLOOR = 1e-8
 # An epoch-over-epoch complexity jump past this many multiples of the
 # previous magnitude triggers the one-time mixture learning-rate cut.
 DIVERGENCE_RATIO = 10.0
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 40
-    batch_size: int = 256
-    lr_weights: float = 5e-4
-    lr_means: float = 5e-4
-    lr_log_vars: float = 5e-4
-    lr_logits: float = 5e-4
-    subsample: int = 0          # weights per prior-gradient draw; 0 = use all
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        for name in ("lr_weights", "lr_means", "lr_log_vars", "lr_logits"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if self.subsample < 0:
-            raise ConfigurationError("subsample must be >= 0")
 
 
 # Adam's moment decay rates and denominator guard, as in Kingma & Ba (2015)
@@ -148,26 +128,28 @@ def complexity_loss(net: Network, mixture: MixtureModel,
 
 
 def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
-            config: TrainConfig, hyper: Optional[HyperPriorConfig] = None,
+            cfg: ExperimentConfig, hyper: Optional[HyperPriorConfig] = None,
             test_data: Optional[Batch] = None,
             on_epoch: Optional[Callable[[TraceRow], None]] = None,
             ) -> tuple[Network, MixtureModel, list[TraceRow]]:
     """Joint retraining of the network and its mixture prior.
 
-    Mutates nothing: returns fresh (network, mixture, trace). With tau = 0
-    and no hyper-priors enabled the prior is never evaluated and the mixture
-    is returned bit-identical.
+    Reads the retraining keys of cfg (retrain_epochs, batch_size, the four
+    lr_* rates, subsample, seed); tau comes from the mixture, which carries
+    it into the SWSC checkpoint. Mutates nothing: returns fresh (network,
+    mixture, trace). With tau = 0 and no hyper-priors enabled the prior is
+    never evaluated and the mixture is returned bit-identical.
     """
     net = net.copy()
     mixture = mixture.copy()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(cfg.seed)
     tau = mixture.tau
     use_prior = tau != 0.0 or (hyper is not None and hyper.any_enabled)
 
-    adam_layers = layer_adams(net, config.lr_weights)
-    adam_means = AdamState(mixture.means.shape, config.lr_means)
-    adam_log_vars = AdamState(mixture.log_vars.shape, config.lr_log_vars)
-    adam_logits = AdamState(mixture.logits.shape, config.lr_logits)
+    adam_layers = layer_adams(net, cfg.lr_weights)
+    adam_means = AdamState(mixture.means.shape, cfg.lr_means)
+    adam_log_vars = AdamState(mixture.log_vars.shape, cfg.lr_log_vars)
+    adam_logits = AdamState(mixture.logits.shape, cfg.lr_logits)
 
     log_floor = math.log(VARIANCE_FLOOR)
     mixture_lr_scale = 1.0
@@ -182,18 +164,18 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
                         mixture.variances().copy(), mixture.mixing_proportions().copy(),
                         mixture_lr_scale)
 
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, cfg.retrain_epochs + 1):
         batch_losses = []
         for batch in iter_batches(train_data.inputs, train_data.labels,
-                                  config.batch_size, rng):
+                                  cfg.batch_size, rng):
             err_loss, layer_grads = error_loss_and_grad(net, batch)
             batch_losses.append(err_loss)
 
             prior_w = None
             if use_prior:
                 w = flat_weights(net)
-                if config.subsample and config.subsample < w.shape[0]:
-                    g = subsampled_prior_grads(w, mixture, hyper, config.subsample, rng)
+                if cfg.subsample and cfg.subsample < w.shape[0]:
+                    g = subsampled_prior_grads(w, mixture, hyper, cfg.subsample, rng)
                 else:
                     g = prior_grads(w, mixture, hyper)
                 # descent on L = L_err - tau * log joint: every gradient is

@@ -92,11 +92,14 @@ def test_configuration_errors_exit_2(tiny_config_file, tmp_path, capsys):
                  "--set", "bogus_key=1"]) == 2
     assert "unknown config key" in capsys.readouterr().err
 
-    # a bad stage setting stops the run before anything is written
-    assert main(["run", *_cfg_args(tiny_config_file), "--quiet",
-                 "--set", "pretrain_batch_size=0"]) == 2
-    assert "pretrain_batch_size" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # a bad stage setting stops the run before anything is written, and the
+    # message names the key
+    for key, value in (("pretrain_batch_size", "0"), ("retrain_epochs", "-1"),
+                       ("layer_sizes", "784,0,10")):
+        assert main(["run", *_cfg_args(tiny_config_file), "--quiet",
+                     "--set", f"{key}={value}"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     # compress before pretrain: the missing checkpoint is a config problem
     assert main(["compress", *_cfg_args(tiny_config_file), "--quiet"]) == 2

@@ -33,18 +33,23 @@ def test_validation_rejects_bad_combinations():
     with pytest.raises(ConfigurationError, match="bit widths"):
         ExperimentConfig(p_fc=0)
     ExperimentConfig(dataset="mnist", data_dir="/tmp/x")  # ok with a dir
+    ExperimentConfig(kl_threshold=0.0)  # boundary is legal
 
 
 @pytest.mark.parametrize("key, value", [
     ("pretrain_epochs", -1), ("pretrain_batch_size", 0), ("pretrain_lr", 0.0),
     ("retrain_epochs", -1), ("batch_size", 0), ("lr_means", 0.0), ("subsample", -1),
     ("lr_weights", float("nan")), ("pretrain_lr", float("nan")),
+    ("lr_log_vars", 0.0), ("lr_log_vars", float("nan")),
+    ("lr_logits", 0.0), ("lr_logits", float("nan")),
     ("weight_decay", float("nan")), ("tau", -1e-3), ("tau", float("nan")),
-    ("kl_threshold", -1.0), ("max_passes", -1),
+    ("kl_threshold", -1.0), ("kl_threshold", float("inf")),
+    ("kl_threshold", float("nan")), ("max_passes", -1),
     ("gamma_zero_alpha", 0.5), ("gamma_rest_alpha", 1.0), ("beta_pi0_alpha", 1.0),
+    ("layer_sizes", (784, 0, 10)), ("layer_sizes", (784, -3, 10)),
 ])
 def test_every_stage_setting_is_checked_when_the_config_is_built(key, value):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=key):
         ExperimentConfig(**{key: value})
 
 
@@ -114,17 +119,6 @@ def test_load_config_override_precedence(tmp_path):
     assert cfg.n_components == 4
     cfg = load_config(None, overrides=[])
     assert cfg.seed == ExperimentConfig().seed
-
-
-def test_derived_stage_configs():
-    cfg = ExperimentConfig(retrain_epochs=5, batch_size=32, lr_weights=2e-3,
-                           subsample=100, kl_threshold=0.5, max_passes=7,
-                           seed=11)
-    tc = cfg.train_config()
-    assert tc.epochs == 5 and tc.batch_size == 32
-    assert tc.lr_weights == 2e-3 and tc.subsample == 100 and tc.seed == 11
-    mc = cfg.merge_config()
-    assert mc.kl_threshold == 0.5 and mc.max_passes == 7
 
 
 def test_hyper_config_alpha_zero_disables():

@@ -135,6 +135,12 @@ def test_make_network_is_deterministic():
     )
 
 
+@pytest.mark.parametrize("sizes", [(784, 0, 10), (784, -3, 10)])
+def test_make_network_rejects_sizes_below_one(sizes):
+    with pytest.raises(ConfigurationError, match="layer sizes"):
+        make_network(sizes)
+
+
 def test_make_network_shapes_and_activations():
     net = make_network((12, 9, 4), seed=0)
     assert [l.weights.shape for l in net.layers] == [(9, 12), (4, 9)]

@@ -13,6 +13,7 @@ from softshare.pipeline import (
     pretrain_network,
     run_pipeline,
 )
+from softshare.postprocess import load_quantized
 
 ARTIFACTS = ["pretrained.swsc", "model.swsc", "trace.csv", "quantized.bin",
              "weights.swsb", "report.json"]
@@ -42,7 +43,8 @@ def test_reported_error_matches_decoded_blob(tiny_config):
     result = run_pipeline(cfg)
     out = Path(cfg.output_dir)
     data = load_dataset(cfg)
-    err = evaluate_blob(out / "weights.swsb", out / "quantized.bin", data.test)
+    err = evaluate_blob((out / "weights.swsb").read_bytes(),
+                        load_quantized(out / "quantized.bin"), data.test)
     assert err == result.report["error_after"]
 
 
@@ -127,13 +129,11 @@ def test_evaluate_blob_rejects_layer_count_mismatch(tiny_config):
     out = Path(cfg.output_dir)
     data = load_dataset(cfg)
     from softshare.codec import encode_network
-    from softshare.postprocess import QuantizedNetwork, load_quantized
+    from softshare.postprocess import QuantizedNetwork
     q = load_quantized(out / "quantized.bin")
     one_layer_blob, _ = encode_network(QuantizedNetwork([q.layers[0]], q.means))
-    bad = out / "onelayer.swsb"
-    bad.write_bytes(one_layer_blob)
     with pytest.raises(SoftShareError, match="layer count"):
-        evaluate_blob(bad, out / "quantized.bin", data.test)
+        evaluate_blob(one_layer_blob, q, data.test)
 
 
 def test_model_checkpoint_contains_the_trained_mixture(tiny_config):

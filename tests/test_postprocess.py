@@ -17,7 +17,6 @@ from softshare.mixture import MixtureModel, responsibilities
 from softshare.net import Layer, Network, flat_weights
 from softshare.postprocess import (
     ZERO_SNAP_TOL,
-    MergeConfig,
     QuantizedLayer,
     QuantizedNetwork,
     kl_gaussian,
@@ -140,8 +139,7 @@ def _three_cluster_mixture():
 
 def test_merge_pass_takes_closest_pair_first():
     m = _three_cluster_mixture()
-    cfg = MergeConfig(kl_threshold=1.0, max_passes=1)
-    out = merge_pass(m, cfg)
+    out = merge_pass(m, kl_threshold=1.0, max_passes=1)
     assert out.n_components == 5
     # the (1,2) pair is tighter than (3,4); it must merge first
     assert not np.any(np.isclose(out.means, -0.501))
@@ -154,25 +152,17 @@ def test_merge_pass_honors_threshold_and_budget():
     same = MixtureModel(np.array([0.0, 1.0, 1.0]),
                         np.log(np.array([1e-4, 1e-3, 1e-3])),
                         np.zeros(3), 0.5)
-    assert merge_pass(same, MergeConfig(kl_threshold=0.0)).n_components == 3
-    assert merge_pass(m, MergeConfig(kl_threshold=1.0, max_passes=0)).n_components == 6
-    full = merge_pass(m, MergeConfig(kl_threshold=1.0, max_passes=100))
+    assert merge_pass(same, kl_threshold=0.0, max_passes=100).n_components == 3
+    assert merge_pass(m, kl_threshold=1.0, max_passes=0).n_components == 6
+    full = merge_pass(m, kl_threshold=1.0, max_passes=100)
     assert full.n_components == 4  # both tight pairs collapse, outlier stays
 
 
 def test_merge_pass_never_goes_below_two_components():
     same = MixtureModel(np.array([0.0, 1e-5, 2e-5]),
                         np.log(np.full(3, 1e-4)), np.zeros(3), 0.4)
-    out = merge_pass(same, MergeConfig(kl_threshold=100.0, max_passes=50))
+    out = merge_pass(same, kl_threshold=100.0, max_passes=50)
     assert out.n_components == 2
-
-
-def test_merge_config_validation():
-    with pytest.raises(ConfigurationError):
-        MergeConfig(kl_threshold=-1.0)
-    with pytest.raises(ConfigurationError):
-        MergeConfig(max_passes=-3)
-    MergeConfig(kl_threshold=0.0)  # boundary is legal
 
 
 def _snap_fixture():

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import softshare.train as train_mod
-from softshare.errors import ConfigurationError, DivergenceError
+from softshare.config import ExperimentConfig
+from softshare.errors import DivergenceError
 from softshare.mixture import HyperPriorConfig, init_mixture
 from softshare.net import Batch, flat_weights, make_network
 from softshare.train import (
     VARIANCE_FLOOR,
     AdamState,
     TraceRow,
-    TrainConfig,
     complexity_loss,
     layer_adams,
     retrain,
@@ -73,17 +73,6 @@ def test_step_layers_is_one_adam_step_per_array(with_extra):
         assert a.biases.tobytes() == b.biases.tobytes()
 
 
-def test_train_config_validation():
-    with pytest.raises(ConfigurationError):
-        TrainConfig(epochs=-1)
-    with pytest.raises(ConfigurationError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ConfigurationError):
-        TrainConfig(lr_means=0.0)
-    with pytest.raises(ConfigurationError):
-        TrainConfig(subsample=-2)
-
-
 def _tiny_problem(seed=0, n=40, tau=1e-3):
     rng = np.random.default_rng(seed)
     net = make_network((6, 5, 3), seed=seed)
@@ -100,7 +89,8 @@ def test_retrain_does_not_mutate_inputs():
     w_before = flat_weights(net).copy()
     means_before = mx.means.copy()
     x_before = data.inputs.copy()
-    net2, mx2, trace = retrain(net, mx, data, TrainConfig(epochs=2, batch_size=16))
+    net2, mx2, trace = retrain(net, mx, data,
+                               ExperimentConfig(retrain_epochs=2, batch_size=16))
     np.testing.assert_array_equal(flat_weights(net), w_before)
     np.testing.assert_array_equal(mx.means, means_before)
     np.testing.assert_array_equal(data.inputs, x_before)
@@ -118,7 +108,8 @@ def test_tau_zero_without_hyper_skips_prior_entirely(monkeypatch):
     monkeypatch.setattr(train_mod, "prior_grads", boom)
     monkeypatch.setattr(train_mod, "subsampled_prior_grads", boom)
     monkeypatch.setattr(train_mod, "log_prior", boom)
-    net2, mx2, trace = retrain(net, mx, data, TrainConfig(epochs=2, batch_size=16))
+    net2, mx2, trace = retrain(net, mx, data,
+                               ExperimentConfig(retrain_epochs=2, batch_size=16))
     np.testing.assert_array_equal(mx2.means, mx.means)
     np.testing.assert_array_equal(mx2.log_vars, mx.log_vars)
     np.testing.assert_array_equal(mx2.logits, mx.logits)
@@ -129,7 +120,8 @@ def test_tau_zero_without_hyper_skips_prior_entirely(monkeypatch):
 
 def test_fixed_quantities_stay_bit_identical():
     net, mx, data = _tiny_problem(tau=1e-3)
-    net2, mx2, _ = retrain(net, mx, data, TrainConfig(epochs=3, batch_size=16))
+    net2, mx2, _ = retrain(net, mx, data,
+                           ExperimentConfig(retrain_epochs=3, batch_size=16))
     assert mx2.means[0] == 0.0
     assert mx2.logits[0] == mx.logits[0]  # dead slot in fixed-pi0 mode
     assert not np.array_equal(mx2.means[1:], mx.means[1:])
@@ -140,7 +132,8 @@ def test_tau_scales_the_hyper_prior_terms_too():
     # with tau = 0 the whole log joint, hyper terms included, weighs nothing
     hyper = HyperPriorConfig(gamma_zero=(50.0, 1.0), gamma_rest=(20.0, 1.0))
     net, mx, data = _tiny_problem(tau=0.0)
-    net2, mx2, _ = retrain(net, mx, data, TrainConfig(epochs=2, batch_size=16), hyper)
+    net2, mx2, _ = retrain(net, mx, data,
+                           ExperimentConfig(retrain_epochs=2, batch_size=16), hyper)
     for got, want in ((mx2.means, mx.means), (mx2.log_vars, mx.log_vars),
                       (mx2.logits, mx.logits)):
         assert got.tobytes() == want.tobytes()
@@ -152,7 +145,7 @@ def test_variance_floor_is_enforced():
     # variances down; the per-step clamp must stop them at the floor
     hyper = HyperPriorConfig(gamma_zero=(1e12, 1.0), gamma_rest=(1e12, 1.0))
     net, mx, data = _tiny_problem(tau=1e-3)
-    cfg = TrainConfig(epochs=3, batch_size=16, lr_log_vars=5.0)
+    cfg = ExperimentConfig(retrain_epochs=3, batch_size=16, lr_log_vars=5.0)
     _, mx2, _ = retrain(net, mx, data, cfg, hyper)
     assert np.all(mx2.log_vars >= math.log(VARIANCE_FLOOR) - 1e-12)
     assert np.any(mx2.log_vars <= math.log(VARIANCE_FLOOR) + 1e-6)
@@ -163,7 +156,8 @@ def test_divergence_guard_halves_mixture_lr_once(monkeypatch):
     monkeypatch.setattr(train_mod, "complexity_loss",
                         lambda *a, **k: next(fake_values))
     net, mx, data = _tiny_problem(tau=1e-3)
-    _, _, trace = retrain(net, mx, data, TrainConfig(epochs=5, batch_size=16))
+    _, _, trace = retrain(net, mx, data,
+                          ExperimentConfig(retrain_epochs=5, batch_size=16))
     scales = [r.mixture_lr_scale for r in trace]
     # jump detected at epoch 2 (50 -> 5000 breaks 10x); next rows run halved
     assert scales[0] == 1.0 and scales[1] == 1.0
@@ -177,7 +171,7 @@ def test_non_finite_complexity_raises_divergence_error(monkeypatch):
                         lambda *a, **k: next(fake_values))
     net, mx, data = _tiny_problem(tau=1e-3)
     with pytest.raises(DivergenceError) as exc_info:
-        retrain(net, mx, data, TrainConfig(epochs=5, batch_size=16))
+        retrain(net, mx, data, ExperimentConfig(retrain_epochs=5, batch_size=16))
     err = exc_info.value
     assert err.network is not None
     assert err.mixture is not None
@@ -186,13 +180,13 @@ def test_non_finite_complexity_raises_divergence_error(monkeypatch):
 
 def test_subsampled_training_runs():
     net, mx, data = _tiny_problem(tau=1e-3)
-    cfg = TrainConfig(epochs=2, batch_size=16, subsample=7, seed=3)
+    cfg = ExperimentConfig(retrain_epochs=2, batch_size=16, subsample=7, seed=3)
     net2, mx2, trace = retrain(net, mx, data, cfg)
     assert np.all(np.isfinite(flat_weights(net2)))
     assert np.all(np.isfinite(mx2.log_vars))
     # a subsample at least as large as the weight count means exact gradients
-    cfg_big = TrainConfig(epochs=1, batch_size=16, subsample=10**9, seed=3)
-    cfg_exact = TrainConfig(epochs=1, batch_size=16, subsample=0, seed=3)
+    cfg_big = ExperimentConfig(retrain_epochs=1, batch_size=16, subsample=10**9, seed=3)
+    cfg_exact = ExperimentConfig(retrain_epochs=1, batch_size=16, subsample=0, seed=3)
     n3, m3, _ = retrain(net, mx, data, cfg_big)
     n4, m4, _ = retrain(net, mx, data, cfg_exact)
     np.testing.assert_array_equal(flat_weights(n3), flat_weights(n4))
@@ -201,7 +195,8 @@ def test_subsampled_training_runs():
 
 def test_trace_rows_snapshot_state():
     net, mx, data = _tiny_problem(tau=1e-3)
-    net2, mx2, trace = retrain(net, mx, data, TrainConfig(epochs=2, batch_size=16),
+    net2, mx2, trace = retrain(net, mx, data,
+                               ExperimentConfig(retrain_epochs=2, batch_size=16),
                                test_data=data)
     row = trace[-1]
     np.testing.assert_array_equal(row.means, mx2.means)
@@ -209,7 +204,8 @@ def test_trace_rows_snapshot_state():
     assert 0.0 <= row.test_error <= 1.0
     assert math.isfinite(row.complexity_loss)
     # without test data the column is nan
-    _, _, trace2 = retrain(net, mx, data, TrainConfig(epochs=1, batch_size=16))
+    _, _, trace2 = retrain(net, mx, data,
+                           ExperimentConfig(retrain_epochs=1, batch_size=16))
     assert math.isnan(trace2[0].test_error)
 
 
@@ -249,7 +245,7 @@ def test_complexity_loss_includes_hyper_terms():
 
 def test_zero_epochs_returns_copies_with_empty_trace():
     net, mx, data = _tiny_problem()
-    net2, mx2, trace = retrain(net, mx, data, TrainConfig(epochs=0))
+    net2, mx2, trace = retrain(net, mx, data, ExperimentConfig(retrain_epochs=0))
     assert trace == []
     np.testing.assert_array_equal(flat_weights(net2), flat_weights(net))
     np.testing.assert_array_equal(mx2.means, mx.means)
