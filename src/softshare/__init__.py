@@ -6,9 +6,6 @@ final state drives a bit-exact sparse encoding with measured compression
 rates.
 """
 
-import ctypes
-import os
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import (
     CompressionReport,
@@ -54,23 +51,3 @@ from .train import retrain, trace_to_csv
 
 __version__ = "0.1.0"
 
-
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
-    the values its dynamic adjustment grows towards as arrays are freed.
-    Left dynamic, they move with the order of earlier frees, so the heap a
-    pipeline run leaves untrimmed, and with it the next run's peak resident
-    size, jumped by ~9 MB from one run of the same workload to the next.
-    Settings made through the MALLOC_*_THRESHOLD_ variables are kept; other
-    C libraries are left alone."""
-    if {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & os.environ.keys():
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return
-    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
-
-
-_pin_malloc_thresholds()

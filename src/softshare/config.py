@@ -103,19 +103,21 @@ class ExperimentConfig:
             if not 1 <= getattr(self, key) <= 16:
                 raise ConfigurationError(f"{key}: index bit widths must lie in [1, 16]")
         # "not x >= 0" and "not x > 0", so that NaN fails too
-        for key in ("pretrain_epochs", "retrain_epochs", "subsample", "max_passes",
-                    "weight_decay", "tau"):
+        for key in ("seed", "pretrain_epochs", "retrain_epochs", "subsample",
+                    "max_passes", "weight_decay", "tau"):
             if not getattr(self, key) >= 0:
                 raise ConfigurationError(f"{key} must be >= 0")
-        for key in ("pretrain_batch_size", "batch_size", "n_components"):
+        for key in ("synthetic_train", "synthetic_test", "pretrain_batch_size",
+                    "batch_size", "n_components"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1")
         for key in ("pretrain_lr", "lr_weights", "lr_means", "lr_log_vars",
                     "lr_logits"):
             if not getattr(self, key) > 0:
                 raise ConfigurationError(f"{key} must be positive")
-        if not math.isfinite(self.kl_threshold) or self.kl_threshold < 0:
-            raise ConfigurationError("kl_threshold must be finite and >= 0")
+        for key in ("synthetic_noise", "kl_threshold"):
+            if not math.isfinite(getattr(self, key)) or getattr(self, key) < 0:
+                raise ConfigurationError(f"{key} must be finite and >= 0")
         self.hyper_config()     # fail now, not after a stage ran
 
     def hyper_config(self):

@@ -173,6 +173,11 @@ def synthetic_digits(n_train: int = 8000, n_test: int = 2000, seed: int = 0,
     noise is the per-sample coefficient noise; it sets the irreducible
     class overlap. The default lands a well-trained 784-300-100-10 network
     near 1.5 percent test error.
+
+    Shifts and pixel noise are applied 64 images at a time, so the
+    generator's peak memory is the arrays it returns plus temporaries of a
+    few 64-image blocks, never of the whole set. The noise blocks draw the
+    same numbers as one call over all images.
     """
     rng = np.random.default_rng(seed)
     margin = 3
@@ -191,7 +196,10 @@ def synthetic_digits(n_train: int = 8000, n_test: int = 2000, seed: int = 0,
             group = np.flatnonzero((shifts[:, 0] == dy) & (shifts[:, 1] == dx))
             for block in np.split(group, range(64, group.size, 64)):
                 images[block] = np.roll(images[block], (dy, dx), axis=(1, 2))
-        images += rng.normal(0.0, pixel_noise, size=images.shape)
+        # consecutive blocks continue one stream: no image-sized temporary
+        for start in range(0, n, 64):
+            block = images[start:start + 64]
+            block += rng.normal(0.0, pixel_noise, size=block.shape)
         np.clip(images, 0.0, 1.0, out=images)
         border = margin - 1
         images[:, :border, :] = 0.0

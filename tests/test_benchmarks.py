@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, kernels", [
     ("bench_mixture.py", {"prior_grads", "log_prior", "quantize"}),
     ("bench_codec.py", {"encode_network", "decode_network", "huffman_decode"}),
+    ("bench_data.py", {"synthetic_digits"}),
 ])
 def test_benchmark_script_writes_its_kernel_timings(script, kernels, tmp_path):
     out = tmp_path / "result.json"

@@ -95,7 +95,9 @@ def test_configuration_errors_exit_2(tiny_config_file, tmp_path, capsys):
     # a bad stage setting stops the run before anything is written, and the
     # message names the key
     for key, value in (("pretrain_batch_size", "0"), ("retrain_epochs", "-1"),
-                       ("layer_sizes", "784,0,10")):
+                       ("layer_sizes", "784,0,10"), ("seed", "-1"),
+                       ("synthetic_train", "0"), ("synthetic_test", "-5"),
+                       ("synthetic_noise", "-1"), ("synthetic_noise", "nan")):
         assert main(["run", *_cfg_args(tiny_config_file), "--quiet",
                      "--set", f"{key}={value}"]) == 2
         assert key in capsys.readouterr().err

@@ -47,6 +47,9 @@ def test_validation_rejects_bad_combinations():
     ("kl_threshold", float("nan")), ("max_passes", -1),
     ("gamma_zero_alpha", 0.5), ("gamma_rest_alpha", 1.0), ("beta_pi0_alpha", 1.0),
     ("layer_sizes", (784, 0, 10)), ("layer_sizes", (784, -3, 10)),
+    ("seed", -1), ("synthetic_train", 0), ("synthetic_test", -5),
+    ("synthetic_noise", -1.0), ("synthetic_noise", float("nan")),
+    ("synthetic_noise", float("inf")),
 ])
 def test_every_stage_setting_is_checked_when_the_config_is_built(key, value):
     with pytest.raises(ConfigurationError, match=key):

@@ -216,3 +216,25 @@ def test_grouped_shifts_match_the_per_image_loop():
     assert np.array_equal(ds.train.labels, train_y)
     assert np.array_equal(ds.test.inputs, test_x)
     assert np.array_equal(ds.test.labels, test_y)
+
+
+@pytest.mark.parametrize("n", [1, 64, 129])
+def test_blockwise_noise_matches_the_whole_array_draw_at_block_edges(n):
+    ds = synthetic_digits(n_train=n, n_test=n, seed=5)
+    (train_x, train_y), (test_x, test_y) = _per_image_shift_corpus(n, n, 5)
+    assert np.array_equal(ds.train.inputs, train_x)
+    assert np.array_equal(ds.train.labels, train_y)
+    assert np.array_equal(ds.test.inputs, test_x)
+    assert np.array_equal(ds.test.labels, test_y)
+
+
+def test_synthetic_corpus_peaks_under_4_mb_above_its_arrays():
+    tracemalloc.start()
+    try:
+        ds = synthetic_digits(n_train=2000, n_test=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (ds.train.inputs, ds.train.labels,
+                                  ds.test.inputs, ds.test.labels))
+    assert peak - kept < 4 << 20, f"{(peak - kept) / 2**20:.1f} MiB above the arrays"
