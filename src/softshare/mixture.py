@@ -294,7 +294,7 @@ def _posterior(x: np.ndarray, terms, d: np.ndarray, r: np.ndarray, start: int = 
     raises NumericError naming its flat index, start + i."""
     mu, neg_half_inv_var, const = terms
     np.subtract(x, mu, out=d)
-    np.multiply(d, d, out=r)
+    np.square(d, out=r)
     r *= neg_half_inv_var
     r += const
     mx = r.max(axis=0)

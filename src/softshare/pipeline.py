@@ -22,7 +22,8 @@ keys, retraining its retraining keys, merging kl_threshold and max_passes,
 encoding p_fc.
 
 run_pipeline loads the data once, pretrains only when no baseline exists,
-then compresses and encodes; the stagewise CLI calls the same stages one
+then compresses and encodes; stage_compress refuses a baseline whose layer
+shapes differ from layer_sizes; the stagewise CLI calls the same stages one
 at a time, so both write the same bytes. In run_pipeline a failure raises
 with the stage name prefixed; artifacts written by earlier stages stay on
 disk. Reported error_before evaluates the stored pretrained checkpoint;
@@ -112,6 +113,13 @@ def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
         raise ConfigurationError(
             f"no pretrained checkpoint at {path}; run pretrain first")
     net, _, _ = load_checkpoint(path)
+    shapes = [l.weights.shape for l in net.layers]
+    want = [(n_out, n_in) for n_in, n_out in zip(cfg.layer_sizes, cfg.layer_sizes[1:])]
+    if shapes != want:
+        raise ConfigurationError(
+            f"pretrained checkpoint {path} has layer shapes {shapes}, but "
+            f"layer_sizes={','.join(map(str, cfg.layer_sizes))} needs {want}; "
+            "remove it or point pretrained_checkpoint at a matching baseline")
     mixture = init_mixture(flat_weights(net), cfg.n_components, cfg.pi0,
                            cfg.weight_decay, tau=cfg.tau,
                            pi0_trainable=cfg.pi0_trainable)

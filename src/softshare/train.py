@@ -8,6 +8,11 @@ network step, step_layers, is also pretraining's, with L2 for the prior.
 Both loops are configured by the same ExperimentConfig: pretrain_network
 reads its pretrain_* keys, retrain its retraining keys.
 
+AdamState.step adds its update into the parameter in place, one block of
+ADAM_BLOCK elements at a time through two scratch rows. A step allocates
+nothing weight-sized, and each block stays in cache across Adam's passes;
+the bits are those of the whole-array expression.
+
 Quantities pinned by the mixture mode (the zero-spike mean, logits[0] when
 pi_0 is fixed) receive exactly-zero gradients; Adam leaves them bit-identical.
 
@@ -28,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DivergenceError
+from .errors import ConfigurationError, DivergenceError
 from .mixture import (
     HyperPriorConfig,
     MixtureModel,
@@ -50,24 +55,61 @@ DIVERGENCE_RATIO = 10.0
 # Adam's moment decay rates and denominator guard, as in Kingma & Ba (2015)
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# Elements per block of AdamState.step: two float64 scratch rows of this
+# length (256 KB) and the matching slices of param, grad, m and v stay in a
+# core's L2 cache across the step's passes.
+ADAM_BLOCK = 16384
+
 
 class AdamState:
-    """Standard Adam with bias correction."""
+    """Standard Adam with bias correction, applied in place."""
 
     def __init__(self, shape, lr: float):
         self.lr = lr
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self._scratch = np.empty((2, min(self.m.size, ADAM_BLOCK)))
 
-    def step(self, grad: np.ndarray, lr_scale: float = 1.0) -> np.ndarray:
-        """Returns the update to ADD to the parameter for descent on grad."""
+    def step(self, param: np.ndarray, grad: np.ndarray, lr_scale: float = 1.0) -> None:
+        """Adds the Adam update for descent on grad into param.
+
+        Walks the arrays in blocks of ADAM_BLOCK elements through two scratch
+        rows. Each element sees the operations of the textbook expression
+        -(lr * lr_scale) * m_hat / (sqrt(v_hat) + eps) in the same order, so
+        the result is bit for bit that of computing it whole and adding it.
+        """
+        if param.shape != self.m.shape or grad.shape != self.m.shape:
+            raise ConfigurationError(
+                f"Adam state has shape {self.m.shape}, got param {param.shape} "
+                f"and grad {grad.shape}")
+        if not param.flags.c_contiguous:
+            raise ConfigurationError("Adam updates param in place; a param that "
+                                     "is not C-contiguous would update a copy")
         self.t += 1
-        self.m += (1.0 - ADAM_B1) * (grad - self.m)
-        self.v += (1.0 - ADAM_B2) * (grad * grad - self.v)
-        m_hat = self.m / (1.0 - ADAM_B1 ** self.t)
-        v_hat = self.v / (1.0 - ADAM_B2 ** self.t)
-        return -(self.lr * lr_scale) * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        c1 = 1.0 - ADAM_B1 ** self.t
+        c2 = 1.0 - ADAM_B2 ** self.t
+        neg_lr = -(self.lr * lr_scale)
+        p, g = param.reshape(-1), grad.reshape(-1)
+        m, v = self.m.reshape(-1), self.v.reshape(-1)
+        for lo in range(0, p.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p.size)
+            gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = self._scratch[:, :hi - lo]
+            np.subtract(gb, mb, out=a)          # m += (1 - b1) * (g - m)
+            a *= 1.0 - ADAM_B1
+            mb += a
+            np.multiply(gb, gb, out=a)          # v += (1 - b2) * (g * g - v)
+            a -= vb
+            a *= 1.0 - ADAM_B2
+            vb += a
+            np.divide(mb, c1, out=a)            # -(lr * scale) * m_hat
+            a *= neg_lr
+            np.divide(vb, c2, out=b)            # / (sqrt(v_hat) + eps)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            p[lo:hi] += a
 
 
 def layer_adams(net: Network, lr: float) -> list[tuple[AdamState, AdamState]]:
@@ -77,12 +119,13 @@ def layer_adams(net: Network, lr: float) -> list[tuple[AdamState, AdamState]]:
 
 
 def step_layers(net: Network, adams, grads, extra=None) -> None:
-    """One Adam step per layer; extra[i], if given, joins layer i's dw."""
+    """One Adam step per layer; extra[i], if given, is added into layer i's
+    dw in place, so grads must be fresh arrays the caller does not reuse."""
     for i, (layer, (adam_w, adam_b), (dw, db)) in enumerate(zip(net.layers, adams, grads)):
         if extra is not None:
-            dw = dw + extra[i]
-        layer.weights += adam_w.step(dw)
-        layer.biases += adam_b.step(db)
+            dw += extra[i]
+        adam_w.step(layer.weights, dw)
+        adam_b.step(layer.biases, db)
 
 
 @dataclass
@@ -182,9 +225,9 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
                 # the log-density gradient scaled by -tau, hyper terms included
                 g.d_weights *= -tau     # in place: a copy is one more weight-sized array
                 prior_w = split_like_weights(net, g.d_weights)
-                mixture.means += adam_means.step(-tau * g.d_means, mixture_lr_scale)
-                mixture.log_vars += adam_log_vars.step(-tau * g.d_log_vars, mixture_lr_scale)
-                mixture.logits += adam_logits.step(-tau * g.d_logits, mixture_lr_scale)
+                adam_means.step(mixture.means, -tau * g.d_means, mixture_lr_scale)
+                adam_log_vars.step(mixture.log_vars, -tau * g.d_log_vars, mixture_lr_scale)
+                adam_logits.step(mixture.logits, -tau * g.d_logits, mixture_lr_scale)
                 np.maximum(mixture.log_vars, log_floor, out=mixture.log_vars)
             step_layers(net, adam_layers, layer_grads, prior_w)
 

@@ -108,6 +108,23 @@ def test_configuration_errors_exit_2(tiny_config_file, tmp_path, capsys):
     assert "run pretrain first" in capsys.readouterr().err
 
 
+def test_run_refuses_a_baseline_of_other_layer_sizes(tiny_config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", *_cfg_args(tiny_config_file), "--quiet"]) == 0
+    capsys.readouterr()
+    before = {name: (out / name).read_bytes()
+              for name in ("pretrained.swsc", "quantized.bin", "weights.swsb")}
+
+    # the existing (784, 6, 10) baseline must not be retrained as 784-8-10
+    assert main(["run", *_cfg_args(tiny_config_file), "--quiet",
+                 "--set", "layer_sizes=784,8,10", "--set", "seed=3"]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "pretrained.swsc") in err
+    assert "[(6, 784), (10, 6)]" in err and "[(8, 784), (10, 8)]" in err
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data
+
+
 def test_data_errors_exit_3(tiny_config_file, tmp_path, capsys):
     assert main(["report", *_cfg_args(tiny_config_file)]) == 3
     assert "data error" in capsys.readouterr().err

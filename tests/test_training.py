@@ -1,15 +1,17 @@
 """Retraining loop: Adam, the joint update, tracing, and failure guards."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import softshare.train as train_mod
 from softshare.config import ExperimentConfig
-from softshare.errors import DivergenceError
+from softshare.errors import ConfigurationError, DivergenceError
 from softshare.mixture import HyperPriorConfig, init_mixture
 from softshare.net import Batch, flat_weights, make_network
 from softshare.train import (
+    ADAM_BLOCK,
     VARIANCE_FLOOR,
     AdamState,
     TraceRow,
@@ -38,7 +40,11 @@ def test_adam_matches_reference_sequence():
     grads = [0.3, -1.2, 0.05, 0.7]
     expected = _adam_reference(grads, lr=1e-2)
     adam = AdamState((1,), lr=1e-2)
-    got = [float(adam.step(np.array([g]))[0]) for g in grads]
+    got = []
+    for g in grads:
+        param = np.zeros(1)
+        adam.step(param, np.array([g]))
+        got.append(float(param[0]))
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -46,12 +52,75 @@ def test_adam_lr_scale_scales_update_only():
     a = AdamState((2,), lr=1e-3)
     b = AdamState((2,), lr=1e-3)
     g = np.array([0.5, -0.25])
-    ua = a.step(g, lr_scale=0.5)
-    ub = b.step(g)
+    ua, ub = np.zeros(2), np.zeros(2)
+    a.step(ua, g, lr_scale=0.5)
+    b.step(ub, g)
     np.testing.assert_allclose(ua, 0.5 * ub, rtol=1e-15)
     # moment state must not depend on the scale
     np.testing.assert_array_equal(a.m, b.m)
     np.testing.assert_array_equal(a.v, b.v)
+
+
+class _WholeArrayAdam:
+    """The whole-array Adam expression, kept as the bit-exact reference."""
+
+    def __init__(self, shape, lr):
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros(shape), np.zeros(shape)
+
+    def step(self, grad, lr_scale=1.0):
+        self.t += 1
+        b1, b2, eps = train_mod.ADAM_B1, train_mod.ADAM_B2, train_mod.ADAM_EPS
+        self.m += (1.0 - b1) * (grad - self.m)
+        self.v += (1.0 - b2) * (grad * grad - self.v)
+        m_hat = self.m / (1.0 - b1 ** self.t)
+        v_hat = self.v / (1.0 - b2 ** self.t)
+        return -(self.lr * lr_scale) * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("shape", [(1,), (ADAM_BLOCK - 1,), (ADAM_BLOCK,),
+                                   (ADAM_BLOCK + 1,), (300, 784)])
+@pytest.mark.parametrize("lr_scale", [1.0, 0.5])
+def test_blocked_adam_is_bit_identical_to_whole_array_adam(shape, lr_scale):
+    rng = np.random.default_rng(11)
+    param = rng.normal(size=shape)
+    ref_param = param.copy()
+    adam, ref = AdamState(shape, lr=1e-3), _WholeArrayAdam(shape, lr=1e-3)
+    for _ in range(200):
+        # gradients spanning many magnitudes, with exact zeros among them
+        grad = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3, size=shape)
+        grad[rng.random(shape) < 0.05] = 0.0
+        adam.step(param, grad, lr_scale)
+        ref_param += ref.step(grad, lr_scale)
+    assert param.tobytes() == ref_param.tobytes()
+    assert adam.m.tobytes() == ref.m.tobytes()
+    assert adam.v.tobytes() == ref.v.tobytes()
+
+
+def test_adam_refuses_a_param_it_would_update_as_a_copy():
+    adam = AdamState((4, 3), lr=1e-3)
+    param = np.zeros((3, 4)).T      # right shape, Fortran order
+    with pytest.raises(ConfigurationError, match="C-contiguous"):
+        adam.step(param, np.ones((4, 3)))
+    with pytest.raises(ConfigurationError, match="shape"):
+        adam.step(np.zeros(12), np.ones(12))
+    assert adam.t == 0 and not adam.m.any()
+
+
+def test_adam_step_allocates_no_weight_sized_temporaries():
+    rng = np.random.default_rng(2)
+    param, grad = rng.normal(size=(300, 784)), rng.normal(size=(300, 784))
+    adam = AdamState(param.shape, lr=1e-3)
+    adam.step(param, grad)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            adam.step(param, grad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (300, 784) float64 temporary alone is 1.9 MB
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("with_extra", [False, True])
@@ -64,10 +133,13 @@ def test_step_layers_is_one_adam_step_per_array(with_extra):
                  for l in net.layers]
         extra = ([rng.normal(size=l.weights.shape) for l in net.layers]
                  if with_extra else None)
+        # step_layers adds extra into grads in place, so sum them first
+        ref_grads = [(dw + extra[i] if with_extra else dw, db)
+                     for i, (dw, db) in enumerate(grads)]
         step_layers(net, adams, grads, extra)
-        for i, (layer, (aw, ab), (dw, db)) in enumerate(zip(ref.layers, ref_adams, grads)):
-            layer.weights += aw.step(dw + extra[i] if with_extra else dw)
-            layer.biases += ab.step(db)
+        for layer, (aw, ab), (dw, db) in zip(ref.layers, ref_adams, ref_grads):
+            aw.step(layer.weights, dw)
+            ab.step(layer.biases, db)
     for a, b in zip(net.layers, ref.layers):
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.biases.tobytes() == b.biases.tobytes()
