@@ -32,7 +32,6 @@ from .mixture import (
     init_mixture,
     log_prior,
     prior_grads,
-    responsibilities,
     subsampled_prior_grads,
 )
 from .net import Batch, Layer, Network, error_loss_and_grad, evaluate, forward, \

@@ -389,14 +389,14 @@ def _index_width(cols: int) -> int:
     return max(1, math.ceil(math.log2(cols))) if cols > 1 else 1
 
 
-def encode_layer(dense: np.ndarray, p: int, tag: int = LAYER_TAG_FC,
+def encode_layer(dense: np.ndarray, p: int,
                  prune_fraction: float = 0.0) -> tuple[bytes, LayerReport]:
     csr = to_csr(dense)
     rows, cols = csr.rows, csr.cols
     pp = p_prun_for(csr.nnz)
     gaps, values = rel_encode(csr.ic, csr.a, csr.ir, p)
     n_entries = gaps.size
-    chunks = [struct.pack(_LAYER_HEADER, tag, rows, cols, p, pp, csr.nnz, n_entries),
+    chunks = [struct.pack(_LAYER_HEADER, LAYER_TAG_FC, rows, cols, p, pp, csr.nnz, n_entries),
               _pack_bits(csr.ir, np.full(rows + 1, pp))[0]]
     if n_entries:
         table, vidx = build_codebook(values)
@@ -439,8 +439,8 @@ def encode_network(q: QuantizedNetwork, p_fc: int = 5,
     tagged LAYER_TAG_FC and coded at index width p_fc. p_conv is never
     read; it is accepted only so that existing callers keep working.
     """
-    encoded = [encode_layer(q.means[ql.assignments], p_fc, LAYER_TAG_FC,
-                            q.prune_fraction(li)) for li, ql in enumerate(q.layers)]
+    encoded = [encode_layer(q.means[ql.assignments], p_fc, q.prune_fraction(li))
+               for li, ql in enumerate(q.layers)]
     blob = b"".join([SWSB_MAGIC, struct.pack("<HH", SWSB_VERSION, len(encoded))]
                     + [layer_blob for layer_blob, _ in encoded])
     reports = [lr for _, lr in encoded]

@@ -27,13 +27,13 @@ Gradient conventions (ascent direction, i.e. gradients of the log density):
 where r_ij is the responsibility of component j for weight i.
 
 One kernel, prior_pass, serves log_prior, prior_grads, subsampled_prior_grads
-and postprocess.quantize; responsibilities shares its per-chunk step. It
-walks the weights in chunks of CHUNK, each laid out component-major in
-reused (J+1, chunk) buffers, so no (I, J+1) matrix is built. Per chunk it
-forms d_ij = w_i - mu_j, the log joint from d (a quadratic in w would
-round exact ties apart), and r by a per-weight log-sum-exp, then adds up
-what was asked for: the log prior, the per-weight gradient, the sums of
-r, r d and r d^2 per component, and the argmax of r.
+and postprocess.quantize. It walks the weights in chunks of CHUNK, each
+laid out component-major in reused (J+1, chunk) buffers, so no (I, J+1)
+matrix is built. Per chunk it forms d_ij = w_i - mu_j, the log joint from
+d (a quadratic in w would round exact ties apart), and r by a per-weight
+log-sum-exp, then adds up what was asked for: the log prior, the
+per-weight gradient, the sums of r, r d and r d^2 per component, and the
+argmax of r.
 """
 
 from __future__ import annotations
@@ -359,14 +359,6 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
 def log_prior(w, m: MixtureModel) -> float:
     """log p(w) = sum_i log sum_j pi_j N(w_i | mu_j, var_j), via log-sum-exp."""
     return prior_pass(w, m)[0]
-
-
-def responsibilities(w, m: MixtureModel) -> np.ndarray:
-    """(I, J+1) posterior component probabilities per weight, rows sum to 1."""
-    w = np.asarray(w, dtype=np.float64).ravel()
-    d, r = np.empty((2, m.n_components, w.shape[0]))
-    _posterior(w, _component_terms(m), d, r)
-    return r.T
 
 
 def _add_hyper(g: PriorGrads, m: MixtureModel, h: Optional[HyperPriorConfig]) -> PriorGrads:

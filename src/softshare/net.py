@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError, NumericError
+from .errors import ConfigurationError, NumericError
 
 ACTIVATIONS = ("relu", "softmax")
 
@@ -201,19 +201,10 @@ def error_loss_and_grad(net: Network, batch: Batch):
     return loss, grads
 
 
-def evaluate(net: Network, data) -> float:
-    """Top-1 error rate over a Batch or an iterable of Batch, in [0, 1]."""
-    if isinstance(data, Batch):
-        data = [data]
-    wrong = 0
-    total = 0
-    for batch in data:
-        probs = forward(net, batch)
-        wrong += int(np.count_nonzero(probs.argmax(axis=1) != batch.labels))
-        total += len(batch)
-    if total == 0:
-        raise DataFormatError("evaluation stream is empty")
-    return wrong / total
+def evaluate(net: Network, batch: Batch) -> float:
+    """Top-1 error rate over one Batch, in [0, 1]."""
+    wrong = np.count_nonzero(forward(net, batch).argmax(axis=1) != batch.labels)
+    return int(wrong) / len(batch)
 
 
 def iter_batches(inputs, labels, batch_size, rng=None):

@@ -21,15 +21,15 @@ Every stage reads the one ExperimentConfig: pretraining its pretrain_*
 keys, retraining its retraining keys, merging kl_threshold and max_passes,
 encoding p_fc.
 
-run_pipeline loads the data once, pretrains only when no baseline exists,
-then compresses and encodes; stage_compress refuses a baseline whose layer
-shapes differ from layer_sizes; the stagewise CLI calls the same stages one
-at a time, so both write the same bytes. In run_pipeline a failure raises
-with the stage name prefixed; artifacts written by earlier stages stay on
-disk. Reported error_before evaluates the stored pretrained checkpoint;
-error_after evaluates the network rebuilt from the decoded blob plus the
-biases of quantized.bin, so the report measures exactly what a consumer of
-the artifacts would see.
+run_pipeline loads the data once, pretrains unless pretrained_checkpoint
+names a baseline, then compresses and encodes; stage_compress refuses a
+baseline whose layer shapes differ from layer_sizes; the stagewise CLI
+calls the same stages one at a time, so both write the same bytes. In
+run_pipeline a failure raises with the stage name prefixed; artifacts
+written by earlier stages stay on disk. Reported error_before evaluates the
+stored pretrained checkpoint; error_after evaluates the network rebuilt from
+the decoded blob plus the biases of quantized.bin, so the report measures
+exactly what a consumer of the artifacts would see.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def run_pipeline(cfg: ExperimentConfig,
                  log: Optional[Emit] = None) -> PipelineResult:
     emit = log or (lambda s: None)
     data = _stage("load-data", load_dataset, cfg)
-    if not cfg.pretrained_checkpoint and not _pretrained_path(cfg).exists():
+    if not cfg.pretrained_checkpoint:
         _stage("pretrain", stage_pretrain, cfg, data, emit)
     _stage("compress", stage_compress, cfg, data, emit)
     report = _stage("encode", stage_encode, cfg, data, emit)

@@ -5,8 +5,12 @@ from pathlib import Path
 import pytest
 
 import softshare.pipeline as pipeline_mod
+from softshare.checkpoint import load_checkpoint
 from softshare.cli import main
+from softshare.config import load_config
 from softshare.errors import NumericError
+from softshare.net import evaluate
+from softshare.pipeline import load_dataset
 
 
 def _cfg_args(tiny_config_file, *extra):
@@ -108,21 +112,56 @@ def test_configuration_errors_exit_2(tiny_config_file, tmp_path, capsys):
     assert "run pretrain first" in capsys.readouterr().err
 
 
+def _assert_shape_refusal(err, path):
+    assert str(path) in err
+    assert "[(6, 784), (10, 6)]" in err and "[(8, 784), (10, 8)]" in err
+
+
 def test_run_refuses_a_baseline_of_other_layer_sizes(tiny_config_file, tmp_path, capsys):
-    out = tmp_path / "out"
+    base = tmp_path / "baselines" / "tiny.swsc"
+    named = ["--set", f"pretrained_checkpoint={base}"]
+    assert main(["pretrain", *_cfg_args(tiny_config_file), "--quiet", *named]) == 0
+    capsys.readouterr()
+    before = base.read_bytes()
+
+    # the named (784, 6, 10) baseline must not be retrained as 784-8-10
+    assert main(["run", *_cfg_args(tiny_config_file), "--quiet", *named,
+                 "--set", "layer_sizes=784,8,10"]) == 2
+    _assert_shape_refusal(capsys.readouterr().err, base)
+    assert base.read_bytes() == before
+    assert not (tmp_path / "out" / "model.swsc").exists()
+
+
+def test_compress_refuses_a_baseline_of_other_layer_sizes(
+        tiny_config_file, tmp_path, capsys):
+    baseline = tmp_path / "out" / "pretrained.swsc"
+    assert main(["pretrain", *_cfg_args(tiny_config_file), "--quiet"]) == 0
+    capsys.readouterr()
+    before = baseline.read_bytes()
+
+    assert main(["compress", *_cfg_args(tiny_config_file), "--quiet",
+                 "--set", "layer_sizes=784,8,10"]) == 2
+    _assert_shape_refusal(capsys.readouterr().err, baseline)
+    assert baseline.read_bytes() == before
+    assert not (tmp_path / "out" / "model.swsc").exists()
+
+
+def test_run_pretrains_again_for_a_new_seed(tiny_config_file, tmp_path, capsys):
+    baseline = tmp_path / "out" / "pretrained.swsc"
     assert main(["run", *_cfg_args(tiny_config_file), "--quiet"]) == 0
     capsys.readouterr()
-    before = {name: (out / name).read_bytes()
-              for name in ("pretrained.swsc", "quantized.bin", "weights.swsb")}
+    old = baseline.read_bytes()
 
-    # the existing (784, 6, 10) baseline must not be retrained as 784-8-10
-    assert main(["run", *_cfg_args(tiny_config_file), "--quiet",
-                 "--set", "layer_sizes=784,8,10", "--set", "seed=3"]) == 2
-    err = capsys.readouterr().err
-    assert str(out / "pretrained.swsc") in err
-    assert "[(6, 784), (10, 6)]" in err and "[(8, 784), (10, 8)]" in err
-    for name, data in before.items():
-        assert (out / name).read_bytes() == data
+    assert main(["run", *_cfg_args(tiny_config_file),
+                 "--set", "seed=3", "--set", "pretrain_epochs=5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "pretraining" in lines
+    assert baseline.read_bytes() != old
+    # error_before measures the new baseline on the seed-3 test set
+    cfg = load_config(str(tiny_config_file), ["seed=3", "pretrain_epochs=5"])
+    net, _, _ = load_checkpoint(baseline)
+    assert (json.loads(lines[-1])["error_before"]
+            == evaluate(net, load_dataset(cfg).test))
 
 
 def test_data_errors_exit_3(tiny_config_file, tmp_path, capsys):

@@ -21,6 +21,8 @@ from softshare.mixture import (
     CHUNK,
     HyperPriorConfig,
     MixtureModel,
+    _component_terms,
+    _posterior,
     beta_params_from_mode_pseudocount,
     gamma_params_from_mode_var,
     hyper_grads,
@@ -29,7 +31,6 @@ from softshare.mixture import (
     log_prior,
     prior_grads,
     prior_pass,
-    responsibilities,
     subsampled_prior_grads,
 )
 from softshare.train import VARIANCE_FLOOR
@@ -53,6 +54,12 @@ def _scipy_log_prior(w, m):
     return logsumexp(comps, axis=0).sum()
 
 
+def _responsibilities(w, m):
+    """_posterior's (J+1, n) responsibilities and per-weight log p(w_i)."""
+    d, r = np.empty((2, m.n_components, w.shape[0]))
+    return r, _posterior(w, _component_terms(m), d, r)
+
+
 @pytest.mark.parametrize("trainable", [False, True])
 def test_log_prior_matches_scipy(trainable):
     rng = np.random.default_rng(11)
@@ -65,16 +72,16 @@ def test_responsibilities_match_scipy_and_sum_to_one():
     rng = np.random.default_rng(12)
     m = _mix(rng)
     w = rng.normal(0.0, 0.4, 40)
-    r = responsibilities(w, m)
-    assert r.shape == (40, m.n_components)
-    np.testing.assert_allclose(r.sum(axis=1), 1.0, rtol=1e-12)
+    r, log_p = _responsibilities(w, m)
+    np.testing.assert_allclose(r.sum(axis=0), 1.0, rtol=1e-12)
 
     pi = m.mixing_proportions()
     joint = np.stack([
         pi[j] * norm.pdf(w, m.means[j], np.sqrt(np.exp(m.log_vars[j])))
         for j in range(m.n_components)
-    ], axis=1)
-    np.testing.assert_allclose(r, joint / joint.sum(axis=1, keepdims=True), rtol=1e-9)
+    ])
+    np.testing.assert_allclose(r, joint / joint.sum(axis=0), rtol=1e-9)
+    np.testing.assert_allclose(log_p, np.log(joint.sum(axis=0)), rtol=1e-12)
 
 
 def test_mixing_proportions_fixed_mode():
@@ -360,8 +367,8 @@ def test_responsibility_rows_always_normalized(data, n_free, n_w):
     rng = np.random.default_rng(seed)
     m = _mix(rng, n_free=n_free, trainable=bool(seed % 2))
     w = rng.normal(0.0, 1.0, n_w)
-    r = responsibilities(w, m)
-    np.testing.assert_allclose(r.sum(axis=1), 1.0, rtol=1e-10)
+    r, _ = _responsibilities(w, m)
+    np.testing.assert_allclose(r.sum(axis=0), 1.0, rtol=1e-10)
     assert np.all(r >= 0.0)
 
 

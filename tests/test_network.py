@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax
 
-from softshare.errors import ConfigurationError, DataFormatError
+from softshare.errors import ConfigurationError
 from softshare.net import (
     Batch,
     Layer,
@@ -117,10 +117,10 @@ def test_evaluate_counts_top1_errors():
     assert evaluate(net, batch) == 0.25
 
 
-def test_evaluate_rejects_empty_stream():
-    net = make_network((3, 2))
-    with pytest.raises(DataFormatError):
-        evaluate(net, [])
+def test_batch_is_never_empty():
+    # evaluate divides by len(batch), so an empty Batch must not exist
+    with pytest.raises(ConfigurationError, match="at least one sample"):
+        Batch(np.empty((0, 3)), np.empty(0, dtype=np.int64))
 
 
 def test_make_network_is_deterministic():

@@ -48,17 +48,19 @@ def test_reported_error_matches_decoded_blob(tiny_config):
     assert err == result.report["error_after"]
 
 
-def test_pipeline_reuses_existing_pretrained_checkpoint(tiny_config):
+def test_pipeline_pretrains_again_into_its_own_output_dir(tiny_config):
+    # a baseline left in output_dir by the first run is not reused: the
+    # second run pretrains again and writes the same bytes
     cfg = tiny_config()
-    lines = []
-    run_pipeline(cfg, log=lines.append)
-    assert any(l == "pretraining" for l in lines)
-    before = (Path(cfg.output_dir) / "pretrained.swsc").read_bytes()
-
-    lines2 = []
-    run_pipeline(cfg, log=lines2.append)
-    assert not any(l == "pretraining" for l in lines2)
-    assert (Path(cfg.output_dir) / "pretrained.swsc").read_bytes() == before
+    out = Path(cfg.output_dir)
+    runs = []
+    for _ in range(2):
+        lines = []
+        run_pipeline(cfg, log=lines.append)
+        assert "pretraining" in lines
+        runs.append({name: (out / name).read_bytes() for name in ARTIFACTS})
+    for name in ARTIFACTS:
+        assert runs[0][name] == runs[1][name], name
 
 
 def test_pipeline_accepts_external_checkpoint(tiny_config, tmp_path):

@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from softshare.errors import ConfigurationError, DataFormatError, NumericError
-from softshare.mixture import MixtureModel, responsibilities
+from softshare.mixture import MixtureModel, _component_terms, _posterior
 from softshare.net import Layer, Network, flat_weights
 from softshare.postprocess import (
     ZERO_SNAP_TOL,
@@ -179,10 +179,12 @@ def test_quantize_assigns_by_responsibility_argmax():
     q = quantize(net, m)
     expected = np.array([[0, 1, 2, 0], [2, 0, 1, 0]])
     np.testing.assert_array_equal(q.layers[0].assignments, expected)
-    # independent check against the responsibility matrix itself
-    r = responsibilities(flat_weights(net), m)
+    # and against _posterior's responsibilities over all weights at once
+    w = flat_weights(net)
+    d, r = np.empty((2, m.n_components, w.size))
+    _posterior(w, _component_terms(m), d, r)
     np.testing.assert_array_equal(q.layers[0].assignments.ravel(),
-                                  np.argmax(r, axis=1))
+                                  np.argmax(r, axis=0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
