@@ -9,6 +9,16 @@ under a 17-component mixture (16 free components plus the zero spike):
     log_prior    the log prior inside one epoch's complexity loss
     quantize     the argmax assignment of every weight
 
+at three mixture states, which name each kernel (prior_grads_early, ...):
+
+    early  the init mixture over the seeded network, where the perfbench
+           compress workload runs: every (weight, component) log joint is
+           within 708 of its weight's maximum, so every exp is normal
+    mid    the init means at variance 5e-6, with 87% of the weights drawn
+           around the zero spike and the rest around a random free mean
+    late   the same at variance 1e-6, where most log joints lie more than
+           708 below their weight's maximum and their exp underflows
+
 Each call runs once untimed, then REPEATS times. The median and min of the
 timed runs go to the JSON file, with the environment record of
 perfbench/run.py: the Python, numpy and BLAS versions, the BLAS thread
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -33,15 +44,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import run  # noqa: E402
 from softshare.mixture import init_mixture, log_prior, prior_grads  # noqa: E402
-from softshare.net import flat_weights, make_network  # noqa: E402
+from softshare.net import flat_weights, make_network, set_flat_weights  # noqa: E402
 from softshare.postprocess import quantize  # noqa: E402
 
 SIZES = (784, 300, 100, 10)
 N_FREE = 16
 PI0 = 0.95
 REPEATS = 15
+STATE_VARIANCES = {"mid": 5e-6, "late": 1e-6}
+SPIKE_SHARE = 0.87
 
 
 def time_call(fn) -> dict:
@@ -55,29 +69,45 @@ def time_call(fn) -> dict:
             "repeats": REPEATS}
 
 
+def states() -> dict:
+    """The three (network, mixture) states of the module docstring."""
+    net = make_network(SIZES, seed=0)
+    m = init_mixture(flat_weights(net), N_FREE, PI0, weight_decay=0.0)
+    out = {"early": (net, m)}
+    for state, var in STATE_VARIANCES.items():
+        rng = np.random.default_rng(1)
+        ms = m.copy()
+        ms.log_vars[:] = math.log(var)
+        n = net.weight_count
+        j = np.where(rng.random(n) < SPIKE_SHARE, 0, rng.integers(1, ms.n_components, n))
+        net_s = make_network(SIZES, seed=0)
+        set_flat_weights(net_s, ms.means[j] + math.sqrt(var) * rng.standard_normal(n))
+        out[state] = (net_s, ms)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", default="BENCH_2.json")
     args = ap.parse_args(argv)
 
-    net = make_network(SIZES, seed=0)
-    w = flat_weights(net)
-    m = init_mixture(w, N_FREE, PI0, weight_decay=0.0)
     env = run.environment({v: os.environ.get(v) for v in run.THREAD_VARS})
     if isinstance(env["blas"], dict):  # keep name and version, not build directories
         env["blas"] = f"{env['blas'].get('name', 'unknown')} {env['blas'].get('version', '')}".strip()
+    kernels = {}
+    for state, (net, m) in states().items():
+        w = flat_weights(net)
+        kernels[f"prior_grads_{state}"] = time_call(lambda: prior_grads(w, m))
+        kernels[f"log_prior_{state}"] = time_call(lambda: log_prior(w, m))
+        kernels[f"quantize_{state}"] = time_call(lambda: quantize(net, m))
     result = {
         "shape": {"weights": int(w.size), "components": m.n_components},
         "environment": env,
-        "kernels": {
-            "prior_grads": time_call(lambda: prior_grads(w, m)),
-            "log_prior": time_call(lambda: log_prior(w, m)),
-            "quantize": time_call(lambda: quantize(net, m)),
-        },
+        "kernels": kernels,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     for name, t in result["kernels"].items():
-        print(f"{name:12s} median {t['median_ms']:8.1f} ms   min {t['min_ms']:8.1f} ms")
+        print(f"{name:18s} median {t['median_ms']:8.1f} ms   min {t['min_ms']:8.1f} ms")
     return 0
 
 

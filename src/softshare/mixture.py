@@ -28,12 +28,42 @@ where r_ij is the responsibility of component j for weight i.
 
 One kernel, prior_pass, serves log_prior, prior_grads, subsampled_prior_grads
 and postprocess.quantize. It walks the weights in chunks of CHUNK, each
-laid out component-major in reused (J+1, chunk) buffers, so no (I, J+1)
-matrix is built. Per chunk it forms d_ij = w_i - mu_j, the log joint from
-d (a quadratic in w would round exact ties apart), and r by a per-weight
-log-sum-exp, then adds up what was asked for: the log prior, the
-per-weight gradient, the sums of r, r d and r d^2 per component, and the
-argmax of r.
+laid out component-major in one reused (J+1, chunk) buffer E, so no
+(I, J+1) matrix is built. Per chunk it makes five elementwise sweeps over E
+and one reduction:
+
+    E = w_i - mu_j;  E *= s_j;  E = E^2     q_ij = (w_i - mu_j)^2 / (2 var_j)
+    mn_i = min_j q_ij;  E = exp(mn_i - E)
+
+with s_j = sqrt(1 / (2 var_j)). The difference is taken before the square,
+since a quadratic in w would round exact ties apart. Every E_ij lies in
+[0, 1], and is 1 at each weight's nearest component in q. The constant
+c_j = pi_j / sqrt(2 pi var_j), scaled by its maximum, and the per-weight
+1/norm never touch E; they enter three small BLAS products:
+
+    norm = (c / c_max) @ E      log p(w_i) = log norm_i - mn_i + log c_max
+    E @ [1, w, w^2] / norm      times c_j / c_max: sum_i r_ij, sum_i r_ij w_i
+                                and sum_i r_ij w_i^2, whence the sums of r d
+                                and r d^2 and the component gradients
+    [c/var; c mu/var] @ E       A_i and B_i, with
+                                d log p / d w_i = (B_i - w_i A_i) / norm_i
+
+quantize's assignment is the argmax over j of log c_j - q_ij, taken before
+the exp, ties to the lower index.
+
+Numerical range: norm_i >= c_j / c_max at the nearest component, so every
+kept c_j / c_max must be at least the smallest normal float (2.2e-308). A
+component below that, such as one whose pi_j underflowed to 0, is left out
+of the pass, as if its pi_j were 0. The moments product takes 1/norm
+scaled by its chunk's smallest norm, and c_j / c_max unscaled by it, so
+that a kept c_j / c_max down to that float overflows none of its terms.
+
+Rounding: the sums of r d^2 come from moments about 0, so their error is
+about eps mu_j^2 / var_j per unit of r, against eps (w - mu_j)^2 / var_j
+in the direct form: 3e-10 of the largest d_log_vars at variance 1e-6. In
+the same way, d log p / d w_i = (B_i - w_i A_i) / norm_i has a relative
+error of about eps |mu_j| / |w_i - mu_j| near component j: 1e-9 for a
+weight within 2e-7 |mu_j| of the mean.
 """
 
 from __future__ import annotations
@@ -41,7 +71,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,8 +82,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Widening applied to a degenerate (min == max) pre-trained weight range.
 DEGENERATE_RANGE_PAD = 1e-2
 
-# Weights per step of prior_pass. Its three (J+1, CHUNK) float64 buffers,
-# about 0.5 MB each at J+1 = 17, stay in cache across the step's passes.
+# Weights per step of prior_pass. Its (J+1, CHUNK) float64 buffer, about
+# 0.5 MB at J+1 = 17, stays in cache across the chunk's sweeps.
 CHUNK = 4096
 
 
@@ -281,33 +311,59 @@ def hyper_grads(m: MixtureModel, h: HyperPriorConfig):
     return d_log_vars, d_logits
 
 
-def _component_terms(m: MixtureModel):
-    """Per-component columns (J+1, 1): mu_j, -1/(2 var_j), log pi_j - log(2 pi var_j)/2."""
-    const = np.log(m.mixing_proportions()) - 0.5 * (m.log_vars + LOG_2PI)
-    return m.means[:, None], (-0.5 * np.exp(-m.log_vars))[:, None], const[:, None]
+class _Components(NamedTuple):
+    """Per-component constants of prior_pass, over the components it keeps.
+
+    c_j = pi_j / sqrt(2 pi var_j) is the Gaussian's peak height times its
+    mass. A component whose c_j / c_max is below the smallest normal float
+    (pi_j underflowed to 0, say) is left out; see the module docstring.
+    """
+
+    live: np.ndarray      # (k,) indices of the kept components
+    mu: np.ndarray        # (k, 1) means
+    s: np.ndarray         # (k, 1) sqrt(1 / (2 var_j))
+    c: np.ndarray         # (k,) c_j / c_max
+    log_c: np.ndarray     # (k, 1) log c_j
+    log_c_max: float
 
 
-def _posterior(x: np.ndarray, terms, d: np.ndarray, r: np.ndarray, start: int = 0):
-    """Fill the (J+1, n) buffers d with x_i - mu_j and r with the responsibilities.
+def _component_terms(m: MixtureModel) -> _Components:
+    with np.errstate(divide="ignore"):  # log 0 for a component whose pi_j underflowed
+        log_c = np.log(m.mixing_proportions()) - 0.5 * (m.log_vars + LOG_2PI)
+    log_c_max = float(log_c.max())
+    c = np.exp(log_c - log_c_max)
+    live = np.flatnonzero(c >= np.finfo(np.float64).tiny)
+    s = np.sqrt(0.5 * np.exp(-m.log_vars[live]))
+    return _Components(live, m.means[live, None], s[:, None], c[live], log_c[live, None],
+                       log_c_max)
 
-    Returns log p(x_i) per weight; a non-finite one (a NaN or infinite weight)
-    raises NumericError naming its flat index, start + i."""
-    mu, neg_half_inv_var, const = terms
-    np.subtract(x, mu, out=d)
-    np.square(d, out=r)
-    r *= neg_half_inv_var
-    r += const
-    mx = r.max(axis=0)
+
+def _chunk_density(x: np.ndarray, comp: _Components, E: np.ndarray, start: int = 0,
+                   assignments: Optional[np.ndarray] = None):
+    """Fill the (k, n) buffer E with exp(mn_i - q_ij); return (norm, log p(x_i)).
+
+    q_ij = (x_i - mu_j)^2 / (2 var_j) and mn_i = min_j q_ij, so
+    p(x_i) = c_max exp(-mn_i) norm_i with norm_i = sum_j (c_j / c_max) E_ij,
+    and r_ij = (c_j / c_max) E_ij / norm_i. If given, assignments receives
+    each weight's argmax of log c_j - q_ij, ties to the lower index. A
+    non-finite log p (a NaN or infinite weight) raises NumericError naming
+    its flat index, start + i.
+    """
+    np.subtract(x, comp.mu, out=E)
+    E *= comp.s
+    np.square(E, out=E)
+    if assignments is not None:
+        assignments[:] = comp.live[(comp.log_c - E).argmax(axis=0)]
+    mn = E.min(axis=0)
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite weight
-        r -= mx
-        np.exp(r, out=r)
-        norm = r.sum(axis=0)
-        r /= norm
-        per_weight = mx + np.log(norm)
+        np.subtract(mn, E, out=E)
+        np.exp(E, out=E)
+    norm = comp.c @ E
+    per_weight = np.log(norm) - mn + comp.log_c_max
     if not np.isfinite(per_weight).all():
         bad = start + int(np.flatnonzero(~np.isfinite(per_weight))[0])
         raise NumericError(f"non-finite log prior at weight index {bad}")
-    return per_weight
+    return norm, per_weight
 
 
 def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
@@ -320,39 +376,54 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
     """
     w = np.asarray(w, dtype=np.float64).ravel()
     total, k = w.shape[0], m.n_components
-    terms = _component_terms(m)
-    inv_var = np.exp(-m.log_vars)
-    bufs = np.empty((3, k * min(CHUNK, total)))
+    comp = _component_terms(m)
+    kept = comp.live.shape[0]
+    width = min(CHUNK, total)
+    E_buf = np.empty(kept * width)
     log_p = 0.0
-    # per component: sum_i r_ij, sum_i r_ij d_ij, sum_i r_ij d_ij^2
-    sums = np.zeros((3, k))
-    d_weights = np.empty(total) if grads else None
     assignments = np.empty(total, dtype=np.int64) if assign else None
+    if grads:
+        inv_var = np.exp(-m.log_vars)
+        # fold @ E: rows sum_j r_ij norm_i / var_j and sum_j r_ij norm_i mu_j / var_j
+        c_inv_var = comp.c * inv_var[comp.live]
+        fold = np.stack([c_inv_var, c_inv_var * comp.mu[:, 0]])
+        v = np.empty((3, width))
+        # per kept component: sum_i r_ij, sum_i r_ij w_i, sum_i r_ij w_i^2
+        moments = np.zeros((kept, 3))
+        d_weights = np.empty(total)
     for start in range(0, total, CHUNK):
         x = w[start:start + CHUNK]
         n = x.shape[0]
-        d, r, t = (b[:k * n].reshape(k, n) for b in bufs)
-        log_p += float(_posterior(x, terms, d, r, start).sum())
-        if assign:
-            assignments[start:start + n] = r.argmax(axis=0)
+        E = E_buf[:kept * n].reshape(kept, n)
+        a = assignments[start:start + n] if assign else None
+        norm, per_weight = _chunk_density(x, comp, E, start, a)
+        log_p += float(per_weight.sum())
         if grads:
-            sums[0] += r.sum(axis=1)
-            np.multiply(r, d, out=t)
-            sums[1] += t.sum(axis=1)
-            sums[2] += np.einsum("jn,jn->j", t, d)
-            np.dot(-inv_var, t, out=d_weights[start:start + n])
+            # 1/norm scaled by the chunk's smallest norm keeps every term of
+            # E @ vn.T at most max(1, w_i^2), however small a kept c_j is
+            smallest = norm.min()
+            vn = v[:, :n]
+            np.divide(smallest, norm, out=vn[0])
+            np.multiply(x, vn[0], out=vn[1])
+            np.multiply(x, vn[1], out=vn[2])
+            moments += (comp.c / smallest)[:, None] * (E @ vn.T)
+            ab = fold @ E
+            d_weights[start:start + n] = (ab[1] - x * ab[0]) / norm
     if not grads:
         return log_p, None, assignments
 
-    col_r = sums[0]
-    d_means = sums[1] * inv_var
+    s0, s1, s2 = np.zeros((3, k))
+    s0[comp.live], s1[comp.live], s2[comp.live] = moments.T
+    rd = s1 - m.means * s0            # sum_i r_ij d_ij
+    rdd = s2 - m.means * (s1 + rd)    # sum_i r_ij d_ij^2
+    d_means = rd * inv_var
     d_means[0] = 0.0
-    d_log_vars = 0.5 * (sums[2] * inv_var - col_r)
+    d_log_vars = 0.5 * (rdd * inv_var - s0)
     d_logits = np.zeros(k)
     if m.pi0_trainable:
-        d_logits[:] = col_r - total * m.mixing_proportions()
+        d_logits[:] = s0 - total * m.mixing_proportions()
     else:
-        d_logits[1:] = col_r[1:] - _softmax(m.logits[1:]) * (total - col_r[0])
+        d_logits[1:] = s0[1:] - _softmax(m.logits[1:]) * (total - s0[0])
     return log_p, PriorGrads(d_weights, d_means, d_log_vars, d_logits), assignments
 
 

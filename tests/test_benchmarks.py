@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, kernels", [
-    ("bench_mixture.py", {"prior_grads", "log_prior", "quantize"}),
+    ("bench_mixture.py", {f"{call}_{state}" for call in ("prior_grads", "log_prior", "quantize")
+                          for state in ("early", "mid", "late")}),
     ("bench_codec.py", {"encode_network", "decode_network", "huffman_decode"}),
     ("bench_data.py", {"synthetic_digits"}),
     ("bench_train.py", {"error_loss_and_grad_b128", "error_loss_and_grad_b256", "step_layers"}),

@@ -2,7 +2,9 @@
 
 Density values are checked against scipy.stats; gradients against central
 finite differences through log_prior / hyper_log_density themselves, so
-the two sides of each comparison come from independent code paths.
+the two sides of each comparison come from independent code paths. The
+folded prior_pass is also checked against the direct-form pass it replaced,
+kept here as _direct_prior_pass.
 """
 import math
 import warnings
@@ -19,10 +21,12 @@ from scipy.stats import norm
 from softshare.errors import ConfigurationError, NumericError
 from softshare.mixture import (
     CHUNK,
+    LOG_2PI,
     HyperPriorConfig,
     MixtureModel,
+    PriorGrads,
+    _chunk_density,
     _component_terms,
-    _posterior,
     beta_params_from_mode_pseudocount,
     gamma_params_from_mode_var,
     hyper_grads,
@@ -33,6 +37,7 @@ from softshare.mixture import (
     prior_pass,
     subsampled_prior_grads,
 )
+from softshare.net import flat_weights, make_network
 from softshare.train import VARIANCE_FLOOR
 
 
@@ -55,9 +60,13 @@ def _scipy_log_prior(w, m):
 
 
 def _responsibilities(w, m):
-    """_posterior's (J+1, n) responsibilities and per-weight log p(w_i)."""
-    d, r = np.empty((2, m.n_components, w.shape[0]))
-    return r, _posterior(w, _component_terms(m), d, r)
+    """(J+1, n) responsibilities and per-weight log p(w_i) from _chunk_density."""
+    comp = _component_terms(m)
+    E = np.empty((comp.live.size, w.shape[0]))
+    norm, log_p = _chunk_density(w, comp, E)
+    r = np.zeros((m.n_components, w.shape[0]))
+    r[comp.live] = comp.c[:, None] * E / norm
+    return r, log_p
 
 
 @pytest.mark.parametrize("trainable", [False, True])
@@ -292,6 +301,123 @@ def test_prior_pass_matches_weight_major_reference(n, var, trainable):
     np.testing.assert_array_equal(assignments, ref["argmax"])
     assert log_prior(w, m) == log_p
     np.testing.assert_array_equal(prior_pass(w, m, assign=True)[2], assignments)
+
+
+def _direct_prior_pass(w, m):
+    """The direct-form chunked pass prior_pass's folded sweeps replaced.
+
+    Per chunk: d = w - mu, the log joint shifted by its per-weight maximum,
+    r normalised by its column sums, and the sums of r, r d and r d^2 taken
+    elementwise. Returns (log p, PriorGrads, argmax of r).
+    """
+    inv_var = np.exp(-m.log_vars)
+    const = np.log(m.mixing_proportions()) - 0.5 * (m.log_vars + LOG_2PI)
+    n_total = w.shape[0]
+    log_p, sums = 0.0, np.zeros((3, m.n_components))
+    d_weights = np.empty(n_total)
+    argmax = np.empty(n_total, dtype=np.int64)
+    for start in range(0, n_total, CHUNK):
+        x = w[start:start + CHUNK]
+        d = x - m.means[:, None]
+        r = np.square(d) * (-0.5 * inv_var)[:, None] + const[:, None]
+        mx = r.max(axis=0)
+        r = np.exp(r - mx)
+        norm = r.sum(axis=0)
+        r /= norm
+        log_p += float((mx + np.log(norm)).sum())
+        argmax[start:start + x.shape[0]] = r.argmax(axis=0)
+        t = r * d
+        sums += [r.sum(axis=1), t.sum(axis=1), np.einsum("jn,jn->j", t, d)]
+        d_weights[start:start + x.shape[0]] = -inv_var @ t
+    d_means = sums[1] * inv_var
+    d_means[0] = 0.0
+    d_logits = np.zeros(m.n_components)
+    if m.pi0_trainable:
+        d_logits[:] = sums[0] - n_total * m.mixing_proportions()
+    else:
+        free = np.exp(m.logits[1:] - m.logits[1:].max())
+        d_logits[1:] = sums[0][1:] - free / free.sum() * (n_total - sums[0][0])
+    g = PriorGrads(d_weights, d_means, 0.5 * (sums[2] * inv_var - sums[0]), d_logits)
+    return log_p, g, argmax
+
+
+def _network_state(state, trainable):
+    """benchmarks/bench_mixture.py's three mixture states on its seeded network.
+
+    early: the init mixture over the 784-300-100-10 network (seed 0).
+    mid, late: that mixture's means at variances 5e-6 and 1e-6, with 87% of
+    the weights drawn around the zero spike and the rest around a free mean.
+    """
+    w = flat_weights(make_network((784, 300, 100, 10), seed=0))
+    m = init_mixture(w, 16, 0.95, weight_decay=0.0, pi0_trainable=trainable)
+    if state == "early":
+        return w, m
+    var = {"mid": 5e-6, "late": 1e-6}[state]
+    m.log_vars[:] = math.log(var)
+    rng = np.random.default_rng(1)
+    j = np.where(rng.random(w.size) < 0.87, 0, rng.integers(1, m.n_components, w.size))
+    return m.means[j] + math.sqrt(var) * rng.standard_normal(w.size), m
+
+
+@pytest.mark.parametrize("state", ["early", "mid", "late"])
+@pytest.mark.parametrize("trainable", [False, True])
+def test_prior_pass_matches_direct_form_pass(state, trainable):
+    w, m = _network_state(state, trainable)
+    log_p, g, assignments = prior_pass(w, m, grads=True, assign=True)
+    ref_log_p, ref, ref_argmax = _direct_prior_pass(w, m)
+    assert log_p == pytest.approx(ref_log_p, rel=1e-12)
+    for name in ("d_weights", "d_means", "d_log_vars", "d_logits"):
+        got, want = getattr(g, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
+    np.testing.assert_array_equal(assignments, ref_argmax)
+
+
+def _scipy_pass(w, m):
+    """log p(w) and its gradients from scipy's logsumexp with b = pi_j.
+
+    A component whose pi_j is 0 adds nothing, and its log 0 stays in here."""
+    pi = m.mixing_proportions()
+    var = np.exp(m.log_vars)
+    comps = norm.logpdf(w, m.means[:, None], np.sqrt(var)[:, None])
+    per_weight = logsumexp(comps, b=pi[:, None], axis=0)
+    with np.errstate(divide="ignore"):
+        r = np.exp(np.log(pi)[:, None] + comps - per_weight)
+    d = w - m.means[:, None]
+    col_r = r.sum(axis=1)
+    d_means = (r * d).sum(axis=1) / var
+    d_means[0] = 0.0
+    d_logits = col_r - w.size * pi
+    if not m.pi0_trainable:
+        d_logits = col_r - pi / (1.0 - pi[0]) * (w.size - col_r[0])
+        d_logits[0] = 0.0
+    return per_weight.sum(), PriorGrads(
+        (r * -d / var[:, None]).sum(axis=0), d_means,
+        0.5 * (r * (d * d / var[:, None] - 1.0)).sum(axis=1), d_logits)
+
+
+@pytest.mark.parametrize("log_pi", [math.log(1e-300), math.log(1e-306), -800.0])
+@pytest.mark.parametrize("trainable", [False, True])
+def test_extreme_mixing_proportions_match_scipy(log_pi, trainable):
+    # component 3 gets pi_3 = 1e-300 or 1e-306, or a logit 800 below the
+    # rest, so that pi_3 underflows to 0; most weights sit at its mean, where
+    # every other component's density underflows (1000 of them sum 1/pi_3
+    # past the largest float unless the moments are scaled)
+    m = MixtureModel(np.array([0.0, -0.5, 0.5, 1.0]), np.log(np.full(4, 1e-4)),
+                     np.zeros(4), 0.9, trainable)
+    m.logits[3] = log_pi + math.log(3.0 if trainable else 2.0 / 0.1)
+    assert (m.mixing_proportions()[3] == 0.0) == (log_pi == -800.0)
+    rng = np.random.default_rng(3)
+    w = np.concatenate([1.0 + 1e-3 * rng.standard_normal(1000),
+                        rng.choice(m.means[:3], 50) + 1e-2 * rng.standard_normal(50)])
+    want_log_p, want = _scipy_pass(w, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_p = log_prior(w, m)
+        g = prior_grads(w, m)
+    assert log_p == pytest.approx(want_log_p, rel=1e-12)
+    for name in ("d_weights", "d_means", "d_log_vars", "d_logits"):
+        got, ref = getattr(g, name), getattr(want, name)
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max(), name
 
 
 def test_non_finite_weight_index_spans_chunks():

@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from softshare.errors import ConfigurationError, DataFormatError, NumericError
-from softshare.mixture import MixtureModel, _component_terms, _posterior
+from softshare.mixture import MixtureModel, _chunk_density, _component_terms
 from softshare.net import Layer, Network, flat_weights
 from softshare.postprocess import (
     ZERO_SNAP_TOL,
@@ -179,12 +179,14 @@ def test_quantize_assigns_by_responsibility_argmax():
     q = quantize(net, m)
     expected = np.array([[0, 1, 2, 0], [2, 0, 1, 0]])
     np.testing.assert_array_equal(q.layers[0].assignments, expected)
-    # and against _posterior's responsibilities over all weights at once
+    # and against the responsibilities of _chunk_density over all weights at once
     w = flat_weights(net)
-    d, r = np.empty((2, m.n_components, w.size))
-    _posterior(w, _component_terms(m), d, r)
+    comp = _component_terms(m)
+    E = np.empty((comp.live.size, w.size))
+    norm, _ = _chunk_density(w, comp, E)
+    r = comp.c[:, None] * E / norm
     np.testing.assert_array_equal(q.layers[0].assignments.ravel(),
-                                  np.argmax(r, axis=0))
+                                  comp.live[np.argmax(r, axis=0)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
