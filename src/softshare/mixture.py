@@ -29,34 +29,54 @@ where r_ij is the responsibility of component j for weight i.
 One kernel, prior_pass, serves log_prior, prior_grads, subsampled_prior_grads
 and postprocess.quantize. It walks the weights in chunks of CHUNK, each
 laid out component-major in one reused (J+1, chunk) buffer E, so no
-(I, J+1) matrix is built. Per chunk it makes five elementwise sweeps over E
-and one reduction:
+(I, J+1) matrix is built. Per chunk, three elementwise sweeps leave -q in E:
 
-    E = w_i - mu_j;  E *= s_j;  E = E^2     q_ij = (w_i - mu_j)^2 / (2 var_j)
-    mn_i = min_j q_ij;  E = exp(mn_i - E)
+    E = w_i - mu_j;  E = E^2;  E *= -1 / (2 var_j)     E_ij = -q_ij
 
-with s_j = sqrt(1 / (2 var_j)). The difference is taken before the square,
-since a quadratic in w would round exact ties apart. Every E_ij lies in
-[0, 1], and is 1 at each weight's nearest component in q. The constant
-c_j = pi_j / sqrt(2 pi var_j), scaled by its maximum, and the per-weight
-1/norm never touch E; they enter three small BLAS products:
+The difference is taken before the square, since a quadratic in w would
+round exact ties apart. With c_j = pi_j / sqrt(2 pi var_j) and c_max the
+largest c_j, p(w_i) = c_max norm_i, norm_i = sum_j (c_j / c_max) exp(-q_ij).
 
-    norm = (c / c_max) @ E      log p(w_i) = log norm_i - mn_i + log c_max
+Reach: let c_min be the smallest kept c_j / c_max, tiny the smallest normal
+float (2.2e-308) and reach = log(c_min / tiny) - 1. A weight is within reach
+when mn_i = min_j q_ij, at its nearest component, is at most reach. Then
+norm_i >= c_min exp(-mn_i) >= e tiny, and exp(-q_ij) is summed as it is. A
+weight beyond reach could get norm_i = 0, so a chunk that holds one is
+shifted by its per-weight maximum: E_ij = -q_ij + mn_i, 0 at the nearest
+component. Its norm_i, sum_j (c_j / c_max) exp(mn_i - q_ij), is then at
+least c_min, and p(w_i) = c_max exp(-mn_i) norm_i. Whether any weight can be beyond reach
+is settled once per call: every mn_i is at most
+B = min_j max((min w - mu_j)^2, (max w - mu_j)^2) / (2 var_j), and when
+B <= reach no chunk takes the maximum or shifts. Otherwise each chunk takes
+max_j -q_ij and shifts only if one of its weights is beyond reach.
+
+Each caller stops once it has what it reads:
+
+* quantize (assign only) stops at -q. Its assignment is the argmax over j
+  of log c_j - q_ij, ties to the lower index: no exp and no product.
+* Every other call takes E = exp(E) and norm = (c / c_max) @ E.
+* log_prior alone takes the logs: log p(w_i) = log norm_i + log c_max,
+  plus max_j -q_ij where the chunk was shifted.
+* prior_grads and subsampled_prior_grads take two more small BLAS products,
+  into which the constants and 1/norm fold:
+
     E @ [1, w, w^2] / norm      times c_j / c_max: sum_i r_ij, sum_i r_ij w_i
                                 and sum_i r_ij w_i^2, whence the sums of r d
                                 and r d^2 and the component gradients
     [c/var; c mu/var] @ E       A_i and B_i, with
                                 d log p / d w_i = (B_i - w_i A_i) / norm_i
 
-quantize's assignment is the argmax over j of log c_j - q_ij, taken before
-the exp, ties to the lower index.
+A NaN or infinite weight makes norm_i non-finite (for quantize,
+max_j log c_j - q_ij), and the call raises NumericError naming its flat index.
 
-Numerical range: norm_i >= c_j / c_max at the nearest component, so every
-kept c_j / c_max must be at least the smallest normal float (2.2e-308). A
-component below that, such as one whose pi_j underflowed to 0, is left out
-of the pass, as if its pi_j were 0. The moments product takes 1/norm
-scaled by its chunk's smallest norm, and c_j / c_max unscaled by it, so
-that a kept c_j / c_max down to that float overflows none of its terms.
+Numerical range: after the exp every E_ij lies in [0, 1], and norm_i >= tiny
+at every finite weight, shifted or not. So every kept c_j / c_max must be at
+least tiny. A component below that, such as one whose pi_j underflowed to
+0, is left out of the pass, as if its pi_j were 0. The moments product takes
+1/norm scaled by its chunk's smallest norm, and c_j / c_max unscaled by it,
+so that a kept c_j / c_max down to tiny overflows none of its terms. In an
+unshifted chunk, exp(-q_ij) of a far component may be subnormal or 0; its
+absolute error, at most 2.5e-324, is under eps of norm_i.
 
 Rounding: the sums of r d^2 come from moments about 0, so their error is
 about eps mu_j^2 / var_j per unit of r, against eps (w - mu_j)^2 / var_j
@@ -321,10 +341,11 @@ class _Components(NamedTuple):
 
     live: np.ndarray      # (k,) indices of the kept components
     mu: np.ndarray        # (k, 1) means
-    s: np.ndarray         # (k, 1) sqrt(1 / (2 var_j))
+    neg_h: np.ndarray     # (k, 1) -1 / (2 var_j)
     c: np.ndarray         # (k,) c_j / c_max
     log_c: np.ndarray     # (k, 1) log c_j
     log_c_max: float
+    reach: float          # log(min_j c_j / c_max / tiny) - 1
 
 
 def _component_terms(m: MixtureModel) -> _Components:
@@ -332,47 +353,80 @@ def _component_terms(m: MixtureModel) -> _Components:
         log_c = np.log(m.mixing_proportions()) - 0.5 * (m.log_vars + LOG_2PI)
     log_c_max = float(log_c.max())
     c = np.exp(log_c - log_c_max)
-    live = np.flatnonzero(c >= np.finfo(np.float64).tiny)
-    s = np.sqrt(0.5 * np.exp(-m.log_vars[live]))
-    return _Components(live, m.means[live, None], s[:, None], c[live], log_c[live, None],
-                       log_c_max)
+    tiny = np.finfo(np.float64).tiny
+    live = np.flatnonzero(c >= tiny)
+    neg_h = -0.5 * np.exp(-m.log_vars[live])
+    return _Components(live, m.means[live, None], neg_h[:, None], c[live], log_c[live, None],
+                       log_c_max, math.log(c[live].min() / tiny) - 1.0)
 
 
-def _chunk_density(x: np.ndarray, comp: _Components, E: np.ndarray, start: int = 0,
-                   assignments: Optional[np.ndarray] = None):
-    """Fill the (k, n) buffer E with exp(mn_i - q_ij); return (norm, log p(x_i)).
+def _within_reach(w: np.ndarray, comp: _Components) -> bool:
+    """Whether every weight's min_j q_ij is provably at most comp.reach.
 
-    q_ij = (x_i - mu_j)^2 / (2 var_j) and mn_i = min_j q_ij, so
-    p(x_i) = c_max exp(-mn_i) norm_i with norm_i = sum_j (c_j / c_max) E_ij,
-    and r_ij = (c_j / c_max) E_ij / norm_i. If given, assignments receives
-    each weight's argmax of log c_j - q_ij, ties to the lower index. A
-    non-finite log p (a NaN or infinite weight) raises NumericError naming
+    Each min_j q_ij is at most min_j max(q_j(min w), q_j(max w)), and the
+    rounded q is monotone in |w - mu_j|, so the bound holds for the computed
+    values too. A NaN or infinite weight fails it.
+    """
+    d = np.square(np.array([w.min(), w.max()]) - comp.mu)
+    return bool((d.max(axis=1) * -comp.neg_h[:, 0]).min() <= comp.reach)
+
+
+def _check_finite(values: np.ndarray, start: int) -> None:
+    if not np.isfinite(values).all():
+        bad = start + int(np.flatnonzero(~np.isfinite(values))[0])
+        raise NumericError(f"non-finite log prior at weight index {bad}")
+
+
+def _neg_q(x: np.ndarray, comp: _Components, E: np.ndarray) -> None:
+    """Fill the (k, n) buffer E with -q_ij = -(x_i - mu_j)^2 / (2 var_j)."""
+    np.subtract(x, comp.mu, out=E)
+    np.square(E, out=E)
+    E *= comp.neg_h
+
+
+def _assign(F: np.ndarray, comp: _Components, out: np.ndarray, start: int) -> None:
+    """Write into out each weight's argmax over j of F_ij = log c_j - q_ij.
+
+    Ties go to the lower index. A non-finite max_j F_ij (a NaN or infinite
+    weight) raises NumericError naming its flat index, start + i.
+    """
+    best = F.max(axis=0)
+    _check_finite(best, start)
+    for j in range(F.shape[0] - 1, -1, -1):  # the lowest tied index is written last
+        np.copyto(out, comp.live[j], where=F[j] == best)
+
+
+def _chunk_density(E: np.ndarray, comp: _Components, start: int = 0, near: bool = False):
+    """Turn E = -q_ij into exp(-q_ij - shift_i); return (norm, shift).
+
+    shift is None when no weight of the chunk is beyond reach (always when
+    near is True); otherwise it is max_j -q_ij, taken off every column.
+    Then p(x_i) = c_max exp(shift_i) norm_i with
+    norm_i = sum_j (c_j / c_max) E_ij, and r_ij = (c_j / c_max) E_ij / norm_i.
+    A non-finite norm (a NaN or infinite weight) raises NumericError naming
     its flat index, start + i.
     """
-    np.subtract(x, comp.mu, out=E)
-    E *= comp.s
-    np.square(E, out=E)
-    if assignments is not None:
-        assignments[:] = comp.live[(comp.log_c - E).argmax(axis=0)]
-    mn = E.min(axis=0)
-    with np.errstate(invalid="ignore"):  # inf - inf at an infinite weight
-        np.subtract(mn, E, out=E)
-        np.exp(E, out=E)
+    shift = None
+    if not near:
+        mx = E.max(axis=0)
+        if (mx < -comp.reach).any():
+            with np.errstate(invalid="ignore"):  # -inf - -inf at an infinite weight
+                E -= mx
+            shift = mx
+    np.exp(E, out=E)
     norm = comp.c @ E
-    per_weight = np.log(norm) - mn + comp.log_c_max
-    if not np.isfinite(per_weight).all():
-        bad = start + int(np.flatnonzero(~np.isfinite(per_weight))[0])
-        raise NumericError(f"non-finite log prior at weight index {bad}")
-    return norm, per_weight
+    _check_finite(norm, start)
+    return norm, shift
 
 
 def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
     """The one chunked pass over the weights (see the module docstring).
 
-    Returns (log p(w), PriorGrads or None, assignments or None). The
-    gradients cover the mixture only, no hyper-prior terms; assignments
-    hold each weight's argmax-responsibility component, ties to the lower
-    index.
+    Returns (log p(w) or None, PriorGrads or None, assignments or None).
+    Each call computes only what it is asked for: log p(w) when neither
+    grads nor assign is set, the mixture gradients (no hyper-prior terms)
+    when grads is, and each weight's argmax-responsibility component, ties
+    to the lower index, when assign is.
     """
     w = np.asarray(w, dtype=np.float64).ravel()
     total, k = w.shape[0], m.n_components
@@ -380,6 +434,8 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
     kept = comp.live.shape[0]
     width = min(CHUNK, total)
     E_buf = np.empty(kept * width)
+    density = grads or not assign  # whether E goes on past -q to the exp
+    near = density and total > 0 and _within_reach(w, comp)
     log_p = 0.0
     assignments = np.empty(total, dtype=np.int64) if assign else None
     if grads:
@@ -395,22 +451,32 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
         x = w[start:start + CHUNK]
         n = x.shape[0]
         E = E_buf[:kept * n].reshape(kept, n)
-        a = assignments[start:start + n] if assign else None
-        norm, per_weight = _chunk_density(x, comp, E, start, a)
-        log_p += float(per_weight.sum())
-        if grads:
-            # 1/norm scaled by the chunk's smallest norm keeps every term of
-            # E @ vn.T at most max(1, w_i^2), however small a kept c_j is
-            smallest = norm.min()
-            vn = v[:, :n]
-            np.divide(smallest, norm, out=vn[0])
-            np.multiply(x, vn[0], out=vn[1])
-            np.multiply(x, vn[1], out=vn[2])
-            moments += (comp.c / smallest)[:, None] * (E @ vn.T)
-            ab = fold @ E
-            d_weights[start:start + n] = (ab[1] - x * ab[0]) / norm
+        _neg_q(x, comp, E)
+        if assign:
+            # an assignment-only call reads E no further, so it adds in place
+            scores = np.add(E, comp.log_c, out=None if density else E)
+            _assign(scores, comp, assignments[start:start + n], start)
+            if not density:
+                continue
+        norm, shift = _chunk_density(E, comp, start, near)
+        if not grads:
+            per_weight = np.log(norm)
+            if shift is not None:
+                per_weight += shift
+            log_p += float(per_weight.sum()) + n * comp.log_c_max
+            continue
+        # 1/norm scaled by the chunk's smallest norm keeps every term of
+        # E @ vn.T at most max(1, w_i^2), however small a kept c_j is
+        smallest = norm.min()
+        vn = v[:, :n]
+        np.divide(smallest, norm, out=vn[0])
+        np.multiply(x, vn[0], out=vn[1])
+        np.multiply(x, vn[1], out=vn[2])
+        moments += (comp.c / smallest)[:, None] * (E @ vn.T)
+        ab = fold @ E
+        d_weights[start:start + n] = (ab[1] - x * ab[0]) / norm
     if not grads:
-        return log_p, None, assignments
+        return (None if assign else log_p), None, assignments
 
     s0, s1, s2 = np.zeros((3, k))
     s0[comp.live], s1[comp.live], s2[comp.live] = moments.T
@@ -424,7 +490,7 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
         d_logits[:] = s0 - total * m.mixing_proportions()
     else:
         d_logits[1:] = s0[1:] - _softmax(m.logits[1:]) * (total - s0[0])
-    return log_p, PriorGrads(d_weights, d_means, d_log_vars, d_logits), assignments
+    return None, PriorGrads(d_weights, d_means, d_log_vars, d_logits), assignments
 
 
 def log_prior(w, m: MixtureModel) -> float:

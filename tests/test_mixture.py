@@ -27,6 +27,8 @@ from softshare.mixture import (
     PriorGrads,
     _chunk_density,
     _component_terms,
+    _neg_q,
+    _within_reach,
     beta_params_from_mode_pseudocount,
     gamma_params_from_mode_var,
     hyper_grads,
@@ -37,7 +39,8 @@ from softshare.mixture import (
     prior_pass,
     subsampled_prior_grads,
 )
-from softshare.net import flat_weights, make_network
+from softshare.net import Layer, Network, flat_weights, make_network
+from softshare.postprocess import quantize
 from softshare.train import VARIANCE_FLOOR
 
 
@@ -63,10 +66,12 @@ def _responsibilities(w, m):
     """(J+1, n) responsibilities and per-weight log p(w_i) from _chunk_density."""
     comp = _component_terms(m)
     E = np.empty((comp.live.size, w.shape[0]))
-    norm, log_p = _chunk_density(w, comp, E)
+    _neg_q(w, comp, E)
+    norm, shift = _chunk_density(E, comp)
     r = np.zeros((m.n_components, w.shape[0]))
     r[comp.live] = comp.c[:, None] * E / norm
-    return r, log_p
+    log_p = np.log(norm) + comp.log_c_max
+    return r, log_p if shift is None else log_p + shift
 
 
 @pytest.mark.parametrize("trainable", [False, True])
@@ -291,15 +296,14 @@ def test_prior_pass_matches_weight_major_reference(n, var, trainable):
     w[near] = m.means[rng.integers(0, m.n_components, n)][near] \
         + math.sqrt(var) * rng.normal(0.0, 2.0, n)[near]
 
-    log_p, g, assignments = prior_pass(w, m, grads=True, assign=True)
+    _, g, assignments = prior_pass(w, m, grads=True, assign=True)
     ref = _reference_pass(w, m)
-    got = {"log_prior": log_p, "d_weights": g.d_weights, "d_means": g.d_means,
+    got = {"log_prior": log_prior(w, m), "d_weights": g.d_weights, "d_means": g.d_means,
            "d_log_vars": g.d_log_vars, "d_logits": g.d_logits}
     for name, value in got.items():
         want, scale = ref[name]
         assert np.all(np.abs(value - want) <= 1e-9 * scale), name
     np.testing.assert_array_equal(assignments, ref["argmax"])
-    assert log_prior(w, m) == log_p
     np.testing.assert_array_equal(prior_pass(w, m, assign=True)[2], assignments)
 
 
@@ -363,13 +367,72 @@ def _network_state(state, trainable):
 @pytest.mark.parametrize("trainable", [False, True])
 def test_prior_pass_matches_direct_form_pass(state, trainable):
     w, m = _network_state(state, trainable)
-    log_p, g, assignments = prior_pass(w, m, grads=True, assign=True)
+    # at the early state, where the compress benchmark runs, the per-call
+    # bound rules out any shift, so no chunk takes the max
+    assert _within_reach(w, _component_terms(m)) == (state == "early")
+    _, g, assignments = prior_pass(w, m, grads=True, assign=True)
     ref_log_p, ref, ref_argmax = _direct_prior_pass(w, m)
-    assert log_p == pytest.approx(ref_log_p, rel=1e-12)
+    assert log_prior(w, m) == pytest.approx(ref_log_p, rel=1e-12)
     for name in ("d_weights", "d_means", "d_log_vars", "d_logits"):
         got, want = getattr(g, name), getattr(ref, name)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
     np.testing.assert_array_equal(assignments, ref_argmax)
+
+
+def _branch_case(var, trainable):
+    """Weights within two sd of the means 0, 1, -1 and 2 at variance var."""
+    m = MixtureModel(np.array([0.0, 1.0, -1.0, 2.0]), np.log(np.full(4, var)),
+                     np.array([0.0, 0.3, -0.2, 0.1]), 0.9, trainable)
+    rng = np.random.default_rng(7)
+    n = 3 * CHUNK + 17
+    w = m.means[rng.integers(0, 4, n)] + math.sqrt(var) * rng.uniform(-2.0, 2.0, n)
+    return w, m
+
+
+def _chunks_beyond_reach(w, m):
+    """Per chunk, whether some weight's min_j q_ij exceeds the reach."""
+    comp = _component_terms(m)
+    q = np.square(w - comp.mu) * -comp.neg_h
+    return [bool((q[:, s:s + CHUNK].min(axis=0) > comp.reach).any())
+            for s in range(0, w.size, CHUNK)]
+
+
+def _check_against_references(w, m):
+    _, g, assignments = prior_pass(w, m, grads=True, assign=True)
+    ref_log_p, direct, direct_argmax = _direct_prior_pass(w, m)
+    ref = _reference_pass(w, m)
+    log_p = log_prior(w, m)
+    assert log_p == pytest.approx(ref_log_p, rel=1e-12)
+    assert log_p == pytest.approx(ref["log_prior"][0], rel=1e-12)
+    for name in ("d_weights", "d_means", "d_log_vars", "d_logits"):
+        got = getattr(g, name)
+        for want in (getattr(direct, name), ref[name][0]):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
+    np.testing.assert_array_equal(assignments, direct_argmax)
+    np.testing.assert_array_equal(assignments, ref["argmax"])
+    np.testing.assert_array_equal(prior_pass(w, m, assign=True)[2], assignments)
+
+
+@pytest.mark.parametrize("trainable", [False, True])
+def test_every_chunk_within_reach_past_the_call_bound(trainable):
+    # the weights span [-1, 2], so the per-call bound fails at variance 1e-4,
+    # but each lies within two sd of a mean, so no chunk shifts
+    w, m = _branch_case(1e-4, trainable)
+    assert not _within_reach(w, _component_terms(m))
+    assert not any(_chunks_beyond_reach(w, m))
+    _check_against_references(w, m)
+
+
+@pytest.mark.parametrize("trainable", [False, True])
+def test_one_weight_beyond_reach_shifts_its_chunk(trainable):
+    # 0.5 is 0.5 from the nearest means 0 and 1, so q = 1250 > reach (~704)
+    # and exp(-q) underflows to 0 unless the chunk shifts. A larger q does
+    # not suit here: the references round log c_j - q at about eps q.
+    w, m = _branch_case(1e-4, trainable)
+    w[2 * CHUNK + 5] = 0.5
+    assert not _within_reach(w, _component_terms(m))
+    assert _chunks_beyond_reach(w, m) == [False, False, True, False]
+    _check_against_references(w, m)
 
 
 def _scipy_pass(w, m):
@@ -420,12 +483,20 @@ def test_extreme_mixing_proportions_match_scipy(log_pi, trainable):
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max(), name
 
 
-def test_non_finite_weight_index_spans_chunks():
+def _quantize(w, m):
+    return quantize(Network([Layer(w.reshape(2, -1), np.zeros(2), "softmax")]), m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("evaluate", [log_prior, prior_grads, _quantize],
+                         ids=["log_prior", "prior_grads", "quantize"])
+def test_non_finite_weight_index_spans_chunks(bad, evaluate):
     rng = np.random.default_rng(42)
     m = _mix(rng)
     w = rng.normal(0.0, 0.3, 2 * CHUNK)
-    w[CHUNK + 7] = np.nan
-    for evaluate in (log_prior, prior_grads):
+    w[CHUNK + 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericError, match=rf"index {CHUNK + 7}$"):
             evaluate(w, m)
 

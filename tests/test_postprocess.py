@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from softshare.errors import ConfigurationError, DataFormatError, NumericError
-from softshare.mixture import MixtureModel, _chunk_density, _component_terms
+from softshare.mixture import MixtureModel, _chunk_density, _component_terms, _neg_q
 from softshare.net import Layer, Network, flat_weights
 from softshare.postprocess import (
     ZERO_SNAP_TOL,
@@ -183,7 +183,8 @@ def test_quantize_assigns_by_responsibility_argmax():
     w = flat_weights(net)
     comp = _component_terms(m)
     E = np.empty((comp.live.size, w.size))
-    norm, _ = _chunk_density(w, comp, E)
+    _neg_q(w, comp, E)
+    norm, _ = _chunk_density(E, comp)
     r = comp.c[:, None] * E / norm
     np.testing.assert_array_equal(q.layers[0].assignments.ravel(),
                                   comp.live[np.argmax(r, axis=0)])
