@@ -1,20 +1,26 @@
 """Micro-benchmark of the training kernels on the reference shape.
 
-    python3 benchmarks/bench_train.py [--out BENCH_11.json]
+    python3 benchmarks/bench_train.py [--out BENCH_15.json]
 
-Times two kernels of every training step on a seeded 784-300-100-10 network
-and a batch of the synthetic corpus:
+Times two kernels of every training step and the test-set evaluation on a
+seeded 784-300-100-10 network and batches of the synthetic corpus:
 
     error_loss_and_grad_b128  backprop of one pretraining batch (128 images)
     error_loss_and_grad_b256  backprop of one retraining batch (256 images)
     step_layers               the Adam step of all six weight and bias arrays,
                               on the gradients of a batch of 128, without the
                               L2 term, as the reference pretraining runs it
+    evaluate_2000             the test error over the reference test set
+                              (2000 images), as every retraining epoch and
+                              the encode stage take it
 
 Each call runs WARMUP times untimed, then REPEATS times. The median and min
 of the timed runs, and the minor page faults per timed call, go to the JSON
 file, with the environment record of perfbench/run.py, as in
-bench_mixture.py.
+bench_mixture.py. One more evaluate_2000 call runs under tracemalloc, and
+its traced peak goes to the file's memory record, as in bench_data.py: the
+whole-batch layer trace of 2000 images is about 13 MB, one block of
+net.EVAL_BLOCK rows well under 2 MB.
 
 Warm-up does not warm the heap for a kernel that allocates weight-sized
 temporaries. In this small process glibc hands the freed top of its heap
@@ -45,6 +51,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,11 +60,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
 from softshare.data import synthetic_digits  # noqa: E402
-from softshare.net import Batch, error_loss_and_grad, make_network  # noqa: E402
+from softshare.net import Batch, error_loss_and_grad, evaluate, make_network  # noqa: E402
 from softshare.train import layer_adams, step_layers  # noqa: E402
 
 SIZES = (784, 300, 100, 10)
 BATCHES = (128, 256)
+N_TEST = 2000
 WARMUP = 5
 REPEATS = 50
 
@@ -76,13 +84,23 @@ def time_call(fn) -> dict:
             "repeats": REPEATS, "faults_per_call": faults / REPEATS}
 
 
+def traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", default="BENCH_11.json")
+    ap.add_argument("--out", default="BENCH_15.json")
     args = ap.parse_args(argv)
 
     net = make_network(SIZES, seed=0)
-    data = synthetic_digits(max(BATCHES), 1, seed=0).train
+    corpus = synthetic_digits(max(BATCHES), N_TEST, seed=0)
+    data, test = corpus.train, corpus.test
     batches = {n: Batch(data.inputs[:n], data.labels[:n]) for n in BATCHES}
     _, grads = error_loss_and_grad(net, batches[128])
     adams = layer_adams(net, 1e-3)
@@ -92,15 +110,20 @@ def main(argv=None) -> int:
     kernels = {f"error_loss_and_grad_b{n}": time_call(lambda b=b: error_loss_and_grad(net, b))
                for n, b in batches.items()}
     kernels["step_layers"] = time_call(lambda: step_layers(net, adams, grads))
+    kernels["evaluate_2000"] = time_call(lambda: evaluate(net, test))
     result = {
-        "shape": {"layer_sizes": list(SIZES), "batches": list(BATCHES)},
+        "shape": {"layer_sizes": list(SIZES), "batches": list(BATCHES), "test": N_TEST},
         "environment": env,
         "kernels": kernels,
+        "memory": {"evaluate_2000": {"traced_peak_mib": traced_peak_mib(
+            lambda: evaluate(net, test))}},
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     for name, t in kernels.items():
         print(f"{name:26s} median {t['median_ms']:8.2f} ms   min {t['min_ms']:8.2f} ms"
               f"   {t['faults_per_call']:7.1f} faults/call")
+    print(f"evaluate_2000 traced peak "
+          f"{result['memory']['evaluate_2000']['traced_peak_mib']:.2f} MiB")
     return 0
 
 

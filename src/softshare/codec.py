@@ -459,8 +459,12 @@ def encode_network(q: QuantizedNetwork, p_fc: int = 5,
     return blob, report
 
 
-def decode_layer(cur: _Cursor) -> np.ndarray:
+def decode_layer(cur: _Cursor, shape: Optional[tuple] = None) -> np.ndarray:
+    """The next layer's weight matrix; a given shape must match the header's
+    (rows, cols), checked before anything is allocated."""
     tag, rows, cols, p, pp, nnz, n_entries = cur.unpack(_LAYER_HEADER)
+    if shape is not None and (rows, cols) != shape:
+        raise DecodeError(f"layer of shape {(rows, cols)} where {shape} is expected")
     if tag not in (LAYER_TAG_FC, LAYER_TAG_CONV):
         raise DecodeError(f"unknown layer tag {tag}")
     if not 1 <= p <= 16:
@@ -495,15 +499,26 @@ def decode_layer(cur: _Cursor) -> np.ndarray:
     return w
 
 
-def decode_network(blob: bytes) -> list:
-    """Recover the quantized weight matrices from a blob, exactly."""
+def decode_network(blob: bytes, shapes: Optional[list] = None) -> list:
+    """Recover the quantized weight matrices from a blob, exactly.
+
+    An empty layer takes no blob bytes per weight, so the blob's length does
+    not bound the (rows, cols) its header claims. A caller that knows the
+    matrix shapes passes them: the layer count and each header's shape are
+    then checked before the layer is allocated.
+    """
     cur = _Cursor(blob, "blob", DecodeError)
     if cur.take(4) != SWSB_MAGIC:
         raise DecodeError("bad magic, not an encoded-weights blob")
     version, n_layers = cur.unpack("<HH")
     if version != SWSB_VERSION:
         raise DecodeError(f"unsupported blob version {version}")
-    matrices = [decode_layer(cur) for _ in range(n_layers)]
+    if shapes is None:
+        shapes = [None] * n_layers
+    elif len(shapes) != n_layers:
+        raise DecodeError(f"blob has {n_layers} layers where the layer count "
+                          f"{len(shapes)} is expected")
+    matrices = [decode_layer(cur, shape) for shape in shapes]
     if cur.remaining:
         raise DecodeError(f"{cur.remaining} trailing bytes in blob")
     return matrices

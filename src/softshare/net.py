@@ -25,6 +25,10 @@ ACTIVATIONS = ("relu", "softmax")
 # wrong prediction yields a large finite loss instead of inf.
 LOG_PROB_FLOOR = float(np.log(1e-300))
 
+# Rows per forward pass in evaluate, the retraining batch size: the layer
+# trace it keeps is that of one block, whatever the size of the evaluated set.
+EVAL_BLOCK = 256
+
 
 @dataclass
 class Layer:
@@ -202,9 +206,17 @@ def error_loss_and_grad(net: Network, batch: Batch):
 
 
 def evaluate(net: Network, batch: Batch) -> float:
-    """Top-1 error rate over one Batch, in [0, 1]."""
-    wrong = np.count_nonzero(forward(net, batch).argmax(axis=1) != batch.labels)
-    return int(wrong) / len(batch)
+    """Top-1 error rate over one Batch, in [0, 1].
+
+    Calls forward on consecutive blocks of EVAL_BLOCK rows and sums their
+    wrong counts. A block's probabilities may differ from the whole batch's
+    in the last bit (the gemm rounding depends on the row count).
+    """
+    wrong = 0
+    for lo in range(0, len(batch), EVAL_BLOCK):
+        block = Batch(batch.inputs[lo:lo + EVAL_BLOCK], batch.labels[lo:lo + EVAL_BLOCK])
+        wrong += int(np.count_nonzero(forward(net, block).argmax(axis=1) != block.labels))
+    return wrong / len(batch)
 
 
 def iter_batches(inputs, labels, batch_size, rng=None):

@@ -79,12 +79,16 @@ def pretrain_network(cfg: ExperimentConfig, data: MnistDataset,
     rng = np.random.default_rng(cfg.seed + 1)
     adams = layer_adams(net, cfg.pretrain_lr)
     wd = cfg.weight_decay
+    # one L2 gradient array per layer, rewritten each step
+    decay = [np.empty_like(l.weights) for l in net.layers] if wd else None
     for epoch in range(1, cfg.pretrain_epochs + 1):
         for batch in iter_batches(data.train.inputs, data.train.labels,
                                   cfg.pretrain_batch_size, rng):
             _, grads = error_loss_and_grad(net, batch)
-            step_layers(net, adams, grads,
-                        [wd * l.weights for l in net.layers] if wd else None)
+            if decay is not None:
+                for layer, d in zip(net.layers, decay):
+                    np.multiply(layer.weights, wd, out=d)
+            step_layers(net, adams, grads, decay)
         if on_epoch is not None:
             on_epoch(epoch, evaluate(net, data.test))
     return net
@@ -181,11 +185,10 @@ def run_pipeline(cfg: ExperimentConfig,
 
 def evaluate_blob(blob: bytes, q: QuantizedNetwork, test: Batch) -> float:
     """Test error of the network decoded from an SWSB blob, with the biases
-    and activations of the quantized model it was encoded from."""
-    matrices = decode_network(blob)
-    if len(matrices) != len(q.layers):
-        raise ConfigurationError(
-            "blob and quantized model disagree on layer count")
+    and activations of the quantized model it was encoded from. The blob
+    must hold that model's layer count and shapes, or DecodeError is raised
+    before a layer is allocated."""
+    matrices = decode_network(blob, [ql.assignments.shape for ql in q.layers])
     net = Network([
         Layer(w, ql.biases.copy(), ql.activation)
         for w, ql in zip(matrices, q.layers)

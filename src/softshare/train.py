@@ -207,30 +207,32 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
                         mixture.variances().copy(), mixture.mixing_proportions().copy(),
                         mixture_lr_scale)
 
+    def train_step(batch: Batch) -> float:
+        """One step on batch; returns its error loss. The step's gradients
+        and weight copies are locals, so they are freed when it returns,
+        before the next step or the epoch-end snapshot allocates."""
+        err_loss, layer_grads = error_loss_and_grad(net, batch)
+        prior_w = None
+        if use_prior:
+            w = flat_weights(net)
+            if cfg.subsample and cfg.subsample < w.shape[0]:
+                g = subsampled_prior_grads(w, mixture, hyper, cfg.subsample, rng)
+            else:
+                g = prior_grads(w, mixture, hyper)
+            # descent on L = L_err - tau * log joint: every gradient is
+            # the log-density gradient scaled by -tau, hyper terms included
+            g.d_weights *= -tau     # in place: a copy is one more weight-sized array
+            prior_w = split_like_weights(net, g.d_weights)
+            adam_means.step(mixture.means, -tau * g.d_means, mixture_lr_scale)
+            adam_log_vars.step(mixture.log_vars, -tau * g.d_log_vars, mixture_lr_scale)
+            adam_logits.step(mixture.logits, -tau * g.d_logits, mixture_lr_scale)
+            np.maximum(mixture.log_vars, log_floor, out=mixture.log_vars)
+        step_layers(net, adam_layers, layer_grads, prior_w)
+        return err_loss
+
     for epoch in range(1, cfg.retrain_epochs + 1):
-        batch_losses = []
-        for batch in iter_batches(train_data.inputs, train_data.labels,
-                                  cfg.batch_size, rng):
-            err_loss, layer_grads = error_loss_and_grad(net, batch)
-            batch_losses.append(err_loss)
-
-            prior_w = None
-            if use_prior:
-                w = flat_weights(net)
-                if cfg.subsample and cfg.subsample < w.shape[0]:
-                    g = subsampled_prior_grads(w, mixture, hyper, cfg.subsample, rng)
-                else:
-                    g = prior_grads(w, mixture, hyper)
-                # descent on L = L_err - tau * log joint: every gradient is
-                # the log-density gradient scaled by -tau, hyper terms included
-                g.d_weights *= -tau     # in place: a copy is one more weight-sized array
-                prior_w = split_like_weights(net, g.d_weights)
-                adam_means.step(mixture.means, -tau * g.d_means, mixture_lr_scale)
-                adam_log_vars.step(mixture.log_vars, -tau * g.d_log_vars, mixture_lr_scale)
-                adam_logits.step(mixture.logits, -tau * g.d_logits, mixture_lr_scale)
-                np.maximum(mixture.log_vars, log_floor, out=mixture.log_vars)
-            step_layers(net, adam_layers, layer_grads, prior_w)
-
+        batch_losses = [train_step(batch) for batch in iter_batches(
+            train_data.inputs, train_data.labels, cfg.batch_size, rng)]
         err_mean = float(np.mean(batch_losses)) if batch_losses else float("nan")
         row = snapshot(epoch, err_mean)
         trace.append(row)

@@ -471,3 +471,27 @@ def test_huffman_decodes_a_47_bit_code():
     message = [code_of[s] for s in (47, 0, 46, 3)]
     payload, _ = _pack_bits([c for c, _ in message], [l for _, l in message])
     assert huffman_decode(table, payload, 4).tolist() == [47, 0, 46, 3]
+
+
+# ------------------------------------------ the expected shapes as a decode budget
+
+def test_decode_with_shapes_rejects_a_huge_empty_layer_before_allocating():
+    # an empty layer costs no bytes per weight, so only the expected shape
+    # bounds the rows * cols its header may claim
+    q = _net_of(np.zeros((4, 6), dtype=int))
+    blob, _ = encode_network(q)
+    cols_at = 8 + 1 + 4
+    hostile = blob[:cols_at] + struct.pack("<I", 0xFFFFFFFF) + blob[cols_at + 4:]
+    _raises_fast(lambda: decode_network(hostile, [(4, 6)]), "shape")
+
+
+def test_decode_with_shapes_checks_layer_count_and_each_shape():
+    q = _quantized_net()
+    blob, _ = encode_network(q)
+    shapes = [ql.assignments.shape for ql in q.layers]
+    for mat, ql in zip(decode_network(blob, shapes), q.layers):
+        np.testing.assert_array_equal(mat, q.means[ql.assignments])
+    with pytest.raises(DecodeError, match="layer count"):
+        decode_network(blob, shapes[:1])
+    with pytest.raises(DecodeError, match=r"\(3, 6\) where \(6, 3\)"):
+        decode_network(blob, [shapes[0], (6, 3)])

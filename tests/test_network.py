@@ -5,12 +5,15 @@ always randomized: with zero biases a relu unit can sit exactly at its
 kink, where the two-sided difference quotient is not a derivative of
 anything and the comparison is meaningless.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import log_softmax
 
 from softshare.errors import ConfigurationError
 from softshare.net import (
+    EVAL_BLOCK,
     Batch,
     Layer,
     Network,
@@ -115,6 +118,31 @@ def test_evaluate_counts_top1_errors():
     # positive input -> class 0 wins, negative -> class 1
     batch = Batch(np.array([[1.0], [-1.0], [2.0], [-2.0]]), np.array([0, 1, 1, 1]))
     assert evaluate(net, batch) == 0.25
+
+
+@pytest.mark.parametrize("n", [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2000])
+def test_blocked_evaluate_matches_whole_batch_forward(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        net = _random_net(rng, sizes=(20, 16, 10))
+        batch = _random_batch(rng, net, n)
+        wrong = np.count_nonzero(forward(net, batch).argmax(axis=1) != batch.labels)
+        assert evaluate(net, batch) == wrong / n
+
+
+def test_evaluate_keeps_one_block_of_trace():
+    rng = np.random.default_rng(4)
+    net = make_network((784, 300, 100, 10), seed=0)
+    batch = Batch(rng.random((2000, 784)), rng.integers(0, 10, 2000))
+    tracemalloc.start()
+    try:
+        evaluate(net, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole batch's pre-activations and activations of the three layers
+    # are 2000 * 2 * 410 float64s, 13 MB; one block of EVAL_BLOCK rows is 1.7 MB
+    assert peak < 4_000_000
 
 
 def test_batch_is_never_empty():

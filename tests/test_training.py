@@ -156,6 +156,29 @@ def _tiny_problem(seed=0, n=40, tau=1e-3):
     return net, mx, data
 
 
+def test_no_step_array_outlives_its_step():
+    rng = np.random.default_rng(1)
+    net = make_network((784, 64, 10), seed=1)
+    data = Batch(rng.random((512, 784)), rng.integers(0, 10, 512))
+    mx = init_mixture(flat_weights(net), n_free=3, pi0=0.9, weight_decay=1e-4, tau=1e-3)
+    cfg = ExperimentConfig(layer_sizes=(784, 64, 10), batch_size=256, retrain_epochs=2)
+    w0 = net.layers[0].weights.nbytes
+    live = []
+
+    def on_epoch(row):
+        snap = tracemalloc.take_snapshot()
+        live.append(sorted(t.size for t in snap.traces if t.size >= w0))
+
+    tracemalloc.start()
+    try:
+        retrain(net, mx, data, cfg, test_data=data, on_epoch=on_epoch)
+    finally:
+        tracemalloc.stop()
+    # the retrained layer 0 and its two Adam moments; the last step's batch,
+    # gradients or flat weight copies would add blocks of w0 bytes or more
+    assert live == [[w0] * 3] * 2
+
+
 def test_retrain_does_not_mutate_inputs():
     net, mx, data = _tiny_problem()
     w_before = flat_weights(net).copy()
