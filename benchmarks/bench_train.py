@@ -1,6 +1,6 @@
 """Micro-benchmark of the training kernels on the reference shape.
 
-    python3 benchmarks/bench_train.py [--out BENCH_15.json]
+    python3 benchmarks/bench_train.py [--out BENCH_11.json]
 
 Times two kernels of every training step and the test-set evaluation on a
 seeded 784-300-100-10 network and batches of the synthetic corpus:
@@ -95,7 +95,7 @@ def traced_peak_mib(fn) -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", default="BENCH_15.json")
+    ap.add_argument("--out", default="BENCH_11.json")
     args = ap.parse_args(argv)
 
     net = make_network(SIZES, seed=0)

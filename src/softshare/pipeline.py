@@ -79,16 +79,12 @@ def pretrain_network(cfg: ExperimentConfig, data: MnistDataset,
     rng = np.random.default_rng(cfg.seed + 1)
     adams = layer_adams(net, cfg.pretrain_lr)
     wd = cfg.weight_decay
-    # one L2 gradient array per layer, rewritten each step
-    decay = [np.empty_like(l.weights) for l in net.layers] if wd else None
     for epoch in range(1, cfg.pretrain_epochs + 1):
         for batch in iter_batches(data.train.inputs, data.train.labels,
                                   cfg.pretrain_batch_size, rng):
             _, grads = error_loss_and_grad(net, batch)
-            if decay is not None:
-                for layer, d in zip(net.layers, decay):
-                    np.multiply(layer.weights, wd, out=d)
-            step_layers(net, adams, grads, decay)
+            step_layers(net, adams, grads,
+                        [wd * l.weights for l in net.layers] if wd else None)
         if on_epoch is not None:
             on_epoch(epoch, evaluate(net, data.test))
     return net

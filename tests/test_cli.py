@@ -7,10 +7,12 @@ import pytest
 import softshare.pipeline as pipeline_mod
 from softshare.checkpoint import load_checkpoint
 from softshare.cli import main
+from softshare.codec import encode_network
 from softshare.config import load_config
 from softshare.errors import NumericError
 from softshare.net import evaluate
 from softshare.pipeline import load_dataset
+from softshare.postprocess import QuantizedNetwork, load_quantized
 
 
 def _cfg_args(tiny_config_file, *extra):
@@ -190,6 +192,19 @@ def test_numeric_errors_exit_4(tiny_config_file, monkeypatch, capsys):
 def test_eval_blob_needs_artifacts(tiny_config_file, capsys):
     assert main(["eval", *_cfg_args(tiny_config_file), "--what", "blob"]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_eval_blob_of_another_layer_count_exits_3(tiny_config_file, tmp_path, capsys):
+    for stage in ("pretrain", "compress", "encode"):
+        assert main([stage, *_cfg_args(tiny_config_file), "--quiet"]) == 0
+    out = tmp_path / "out"
+    q = load_quantized(out / "quantized.bin")
+    assert len(q.layers) >= 2
+    one_layer_blob, _ = encode_network(QuantizedNetwork([q.layers[0]], q.means))
+    (out / "weights.swsb").write_bytes(one_layer_blob)
+    capsys.readouterr()
+    assert main(["eval", *_cfg_args(tiny_config_file), "--what", "blob"]) == 3
+    assert "layer count" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_subcommand(capsys):
