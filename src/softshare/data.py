@@ -6,14 +6,20 @@ byte dtype (code 0x08) is supported, which covers the MNIST image and
 label files. Files may be gzip-compressed (detected by suffix or header);
 they are inflated only as far as their IDX header implies, plus one byte to
 detect excess data, so a small file that inflates to gigabytes costs no
-more memory than its header claims.
+more memory than its header claims. load_mnist checks the official sizes
+on the headers alone, before any body is inflated.
 
-The synthetic corpus mimics the MNIST geometry (28x28 grayscale in [0,1]
-with a dead border, ten classes) so pipeline behavior carries over. Images
-are weighted sums of a shared dictionary of smooth bumps; each class is a
-coefficient profile over that dictionary. Per-sample coefficient noise
-makes classes genuinely overlap (irreducible error tracks the noise
-scale), and one-pixel shifts plus pixel noise add texture.
+Both corpora hold their pixels as 8-bit grayscale, one uint8 per pixel:
+MNIST keeps its IDX bytes, and the network reads a pixel p as p / 255.0
+(net.Batch). That is an eighth of the memory of float64 features.
+
+The synthetic corpus mimics the MNIST geometry (28x28 grayscale with a dead
+border, ten classes) so pipeline behavior carries over. Images are weighted
+sums of a shared dictionary of smooth bumps; each class is a coefficient
+profile over that dictionary. Per-sample coefficient noise makes classes
+genuinely overlap (irreducible error tracks the noise scale), and one-pixel
+shifts plus pixel noise add texture. Each image is made in float64 in [0, 1]
+and stored as np.rint(255 * x).
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ MNIST_FILES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 MNIST_COUNTS = (60000, 10000)
+MNIST_SIDE = 28
+
+# Images per block of synthetic_digits: its float64 working memory is that of
+# a few blocks of this size, whatever the size of the corpus.
+SYNTHETIC_BLOCK = 256
 
 
 @dataclass
@@ -49,47 +60,50 @@ class MnistDataset:
     test: Batch
 
 
-def _idx_size(head: bytes) -> int:
+def _idx_size(head: bytes, header_only: bool = False) -> int:
     """Size of the IDX file that starts with head, as far as head shows: the
-    magic, then the dimension table, then the data. Capped so that one more
-    byte still fits zlib's max_length."""
+    magic, then the dimension table, then (unless header_only) the data.
+    Capped so that one more byte still fits zlib's max_length."""
     if len(head) < 4:
         return 4
     end = 4 + 4 * head[3]
-    if len(head) < end:
+    if len(head) < end or header_only:
         return end
     return min(end + math.prod(struct.unpack(f">{head[3]}I", head[4:end])),
                sys.maxsize - 1)
 
 
-def _read_raw(path: Path) -> bytes:
+def _read_raw(path: Path, header_only: bool = False) -> bytes:
     data = path.read_bytes()
     if path.suffix != ".gz" and data[:2] != b"\x1f\x8b":
         return data
     inflate, out = zlib.decompressobj(wbits=31), b""
     try:
-        while data and len(out) <= _idx_size(out):
+        while data and len(out) <= _idx_size(out, header_only):
             if inflate.eof:   # the next gzip member
                 inflate = zlib.decompressobj(wbits=31)
-            out += inflate.decompress(data, _idx_size(out) + 1 - len(out))
+            out += inflate.decompress(data, _idx_size(out, header_only) + 1 - len(out))
             data = inflate.unused_data if inflate.eof else inflate.unconsumed_tail
     except zlib.error as e:
         raise DataFormatError(f"{path}: bad gzip stream ({e})") from e
-    if len(out) <= _idx_size(out) and not inflate.eof:
+    if len(out) <= _idx_size(out, header_only) and not inflate.eof:
         raise DataFormatError(f"{path}: bad gzip stream (truncated)")
     return out
 
 
-def read_idx(path) -> np.ndarray:
-    """Parse one IDX file into an array of unsigned bytes."""
+def _locate(path) -> Path:
+    """path, or its .gz sibling when only that exists."""
     path = Path(path)
-    if not path.exists():
-        gz = path.with_name(path.name + ".gz")
-        if gz.exists():
-            path = gz
-        else:
-            raise DataFormatError(f"{path}: file not found")
-    data = _read_raw(path)
+    if path.exists():
+        return path
+    gz = path.with_name(path.name + ".gz")
+    if gz.exists():
+        return gz
+    raise DataFormatError(f"{path}: file not found")
+
+
+def _parse_header(path: Path, data: bytes) -> tuple[int, ...]:
+    """The dimensions that the IDX header at the start of data claims."""
     if len(data) < 4:
         raise DataFormatError(f"{path}: shorter than an IDX header")
     zero, dtype, ndim = struct.unpack(">HBB", data[:4])
@@ -97,9 +111,23 @@ def read_idx(path) -> np.ndarray:
         raise DataFormatError(f"{path}: bad magic {data[:4].hex()}")
     if ndim < 1 or len(data) < 4 + 4 * ndim:
         raise DataFormatError(f"{path}: truncated dimension table")
-    dims = struct.unpack(f">{ndim}I", data[4:4 + 4 * ndim])
+    return struct.unpack(f">{ndim}I", data[4:4 + 4 * ndim])
+
+
+def _idx_dims(path) -> tuple[int, ...]:
+    """The dimensions an IDX file's header claims; a gzip file is inflated
+    only as far as its header."""
+    path = _locate(path)
+    return _parse_header(path, _read_raw(path, header_only=True))
+
+
+def read_idx(path) -> np.ndarray:
+    """Parse one IDX file into an array of unsigned bytes."""
+    path = _locate(path)
+    data = _read_raw(path)
+    dims = _parse_header(path, data)
     n = math.prod(dims)
-    body = data[4 + 4 * ndim:]
+    body = data[4 + 4 * len(dims):]
     if len(body) != n:   # a gzip body is cut one byte past n
         raise DataFormatError(f"{path}: expected {n} data bytes, found "
                               f"{'more' if len(body) > n else len(body)}")
@@ -122,31 +150,35 @@ def _to_batch(images: np.ndarray, labels: np.ndarray, name: str) -> Batch:
         raise DataFormatError(f"{name}: label count disagrees with image count")
     if labels.max(initial=0) > 9:
         raise DataFormatError(f"{name}: label outside [0, 9]")
-    n = images.shape[0]
-    return Batch(images.reshape(n, -1).astype(np.float64) / 255.0,
-                 labels.astype(np.int64))
+    return Batch(images.reshape(images.shape[0], -1), labels.astype(np.int64))
 
 
 def load_mnist(data_dir, expected_counts=MNIST_COUNTS) -> MnistDataset:
-    """Load the four IDX files from data_dir.
+    """Load the four IDX files from data_dir; the images stay uint8 pixels.
 
-    expected_counts=(train, test) enforces the official sizes; pass None to
-    accept any consistent IDX image/label pairs in the same file layout.
+    expected_counts=(train, test) enforces the official sizes, (N, 28, 28)
+    images and (N,) labels, on the file headers before any body is read;
+    pass None to accept any consistent IDX image/label pairs in the same
+    file layout.
     """
     d = Path(data_dir)
-    train_images = read_idx(d / MNIST_FILES["train_images"])
-    train_labels = read_idx(d / MNIST_FILES["train_labels"])
-    test_images = read_idx(d / MNIST_FILES["test_images"])
-    test_labels = read_idx(d / MNIST_FILES["test_labels"])
+    paths = {key: d / name for key, name in MNIST_FILES.items()}
     if expected_counts is not None:
         want_train, want_test = expected_counts
-        if train_images.shape[0] != want_train or test_images.shape[0] != want_test:
+        want = {"train_images": (want_train, MNIST_SIDE, MNIST_SIDE),
+                "train_labels": (want_train,),
+                "test_images": (want_test, MNIST_SIDE, MNIST_SIDE),
+                "test_labels": (want_test,)}
+        found = {key: _idx_dims(path) for key, path in paths.items()}
+        if found != want:
             raise DataFormatError(
-                f"{d}: expected {want_train}/{want_test} items, found "
-                f"{train_images.shape[0]}/{test_images.shape[0]}")
+                f"{d}: expected {want_train}/{want_test} items of "
+                f"{MNIST_SIDE}x{MNIST_SIDE} pixels, found "
+                + ", ".join(f"{key} {found[key]}" for key in MNIST_FILES))
+    raw = {key: read_idx(path) for key, path in paths.items()}
     return MnistDataset(
-        train=_to_batch(train_images, train_labels, "train set"),
-        test=_to_batch(test_images, test_labels, "test set"),
+        train=_to_batch(raw["train_images"], raw["train_labels"], "train set"),
+        test=_to_batch(raw["test_images"], raw["test_labels"], "test set"),
     )
 
 
@@ -174,38 +206,45 @@ def synthetic_digits(n_train: int = 8000, n_test: int = 2000, seed: int = 0,
     class overlap. The default lands a well-trained 784-300-100-10 network
     near 1.5 percent test error.
 
-    Shifts and pixel noise are applied 64 images at a time, so the
-    generator's peak memory is the arrays it returns plus temporaries of a
-    few 64-image blocks, never of the whole set. The noise blocks draw the
-    same numbers as one call over all images.
+    The images are made SYNTHETIC_BLOCK at a time in float64, then stored as
+    uint8 pixels np.rint(255 * x), so the generator's peak memory is the
+    arrays it returns plus temporaries of a few blocks. No image is rolled:
+    a one-pixel shift of a sum of bumps is, pixel for pixel, the same sum of
+    the shifted bumps, so each shift group of a block is summed against one
+    of nine rolled copies of the dictionary. The per-block noise draws
+    continue one stream, the same numbers as one call over all images.
     """
     rng = np.random.default_rng(seed)
     margin = 3
     bumps = _bump_dictionary(rng, side, margin, n_bumps)
+    rolled = {(dy, dx): np.roll(bumps, (dy, dx), axis=(1, 2))
+              for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
     own = rng.uniform(0.0, 1.0, (n_classes, n_bumps))
     coeffs = own / own.sum(axis=1, keepdims=True) * 3.0
+    border = margin - 1
 
     def draw(n: int) -> Batch:
         labels = rng.integers(0, n_classes, size=n)
         a = coeffs[labels] + rng.normal(0.0, noise, (n, n_bumps))
-        images = np.einsum("nm,mhw->nhw", a, bumps)
         shifts = rng.integers(-1, 2, size=(n, 2))
-        # one roll per distinct shift and block of at most 64 images; small
-        # blocks keep the peak memory of rolling image by image
-        for dy, dx in np.unique(shifts, axis=0):
-            group = np.flatnonzero((shifts[:, 0] == dy) & (shifts[:, 1] == dx))
-            for block in np.split(group, range(64, group.size, 64)):
-                images[block] = np.roll(images[block], (dy, dx), axis=(1, 2))
-        # consecutive blocks continue one stream: no image-sized temporary
-        for start in range(0, n, 64):
-            block = images[start:start + 64]
-            block += rng.normal(0.0, pixel_noise, size=block.shape)
-        np.clip(images, 0.0, 1.0, out=images)
-        border = margin - 1
-        images[:, :border, :] = 0.0
-        images[:, -border:, :] = 0.0
-        images[:, :, :border] = 0.0
-        images[:, :, -border:] = 0.0
-        return Batch(images.reshape(n, -1), labels.astype(np.int64))
+        pixels = np.empty((n, side, side), dtype=np.uint8)
+        for start in range(0, n, SYNTHETIC_BLOCK):
+            stop = min(start + SYNTHETIC_BLOCK, n)
+            # the pixel noise first, then each shift group's sum of bumps
+            # added into it: one float64 block, and addition commutes
+            block = rng.normal(0.0, pixel_noise, size=(stop - start, side, side))
+            for (dy, dx), dictionary in rolled.items():
+                group = np.flatnonzero((shifts[start:stop, 0] == dy)
+                                       & (shifts[start:stop, 1] == dx))
+                block[group] += np.einsum("nm,mhw->nhw", a[start + group], dictionary)
+            np.clip(block, 0.0, 1.0, out=block)
+            block[:, :border, :] = 0.0
+            block[:, -border:, :] = 0.0
+            block[:, :, :border] = 0.0
+            block[:, :, -border:] = 0.0
+            block *= 255
+            pixels[start:stop] = np.rint(block, out=block)
+            del block   # before the next block is drawn
+        return Batch(pixels.reshape(n, -1), labels.astype(np.int64))
 
     return MnistDataset(train=draw(n_train), test=draw(n_test))

@@ -212,22 +212,6 @@ class PriorGrads:
     d_logits: np.ndarray    # (J+1,)
 
 
-def gamma_params_from_mode_var(mode: float, var: float) -> tuple[float, float]:
-    """Gamma (alpha, beta) with the given mode (alpha-1)/beta and variance alpha/beta^2."""
-    if mode <= 0 or var <= 0:
-        raise ConfigurationError("gamma mode and variance must be positive")
-    beta = (mode + math.sqrt(mode * mode + 4.0 * var)) / (2.0 * var)
-    return 1.0 + mode * beta, beta
-
-
-def beta_params_from_mode_pseudocount(mode: float, pseudocount: float) -> tuple[float, float]:
-    """Beta (alpha, beta) with mode (alpha-1)/(alpha+beta-2) and alpha+beta = pseudocount."""
-    if not 0.0 < mode < 1.0 or pseudocount <= 2.0:
-        raise ConfigurationError("beta mode must be in (0,1) and pseudocount > 2")
-    alpha = mode * (pseudocount - 2.0) + 1.0
-    return alpha, pseudocount - alpha
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max())
     return e / e.sum()

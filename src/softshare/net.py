@@ -95,11 +95,21 @@ class Network:
 
 @dataclass
 class Batch:
-    inputs: np.ndarray   # (B, in_dim)
+    """Samples and their labels.
+
+    inputs are either float64 features or uint8 pixels (both corpora of
+    data.py). The forward pass reads a pixel p as p / 255.0, one batch or
+    evaluation block at a time, so a corpus of pixels is never held as
+    float64 in whole.
+    """
+
+    inputs: np.ndarray   # (B, in_dim) float64, or uint8 pixels
     labels: np.ndarray   # (B,) integer class indices
 
     def __post_init__(self):
-        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
+        inputs = np.asarray(self.inputs)
+        self.inputs = np.ascontiguousarray(
+            inputs, dtype=np.uint8 if inputs.dtype == np.uint8 else np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2 or self.labels.ndim != 1:
             raise ConfigurationError("batch needs 2-d inputs and 1-d labels")
@@ -145,12 +155,15 @@ def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_trace(net: Network, inputs: np.ndarray):
-    """Forward pass keeping pre-activations and activations per layer."""
+    """Forward pass keeping pre-activations and activations per layer;
+    uint8 pixels enter as pixel / 255.0."""
     if inputs.shape[1] != net.in_dim:
         raise ConfigurationError(
             f"input width {inputs.shape[1]} does not match first layer "
             f"({net.in_dim} inputs)"
         )
+    if inputs.dtype == np.uint8:
+        inputs = inputs / 255.0
     acts = [inputs]
     pre = []
     a = inputs
@@ -209,8 +222,9 @@ def evaluate(net: Network, batch: Batch) -> float:
     """Top-1 error rate over one Batch, in [0, 1].
 
     Calls forward on consecutive blocks of EVAL_BLOCK rows and sums their
-    wrong counts. A block's probabilities may differ from the whole batch's
-    in the last bit (the gemm rounding depends on the row count).
+    wrong counts, so only one block of pixels is turned into float64 at a
+    time. A block's probabilities may differ from the whole batch's in the
+    last bit (the gemm rounding depends on the row count).
     """
     wrong = 0
     for lo in range(0, len(batch), EVAL_BLOCK):

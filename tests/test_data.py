@@ -1,5 +1,6 @@
 """IDX parsing, the MNIST directory layout, and the synthetic corpus."""
 import gzip
+import time
 import tracemalloc
 import zlib
 
@@ -9,12 +10,14 @@ import pytest
 from softshare.data import (
     _bump_dictionary,
     MNIST_FILES,
+    SYNTHETIC_BLOCK,
     load_mnist,
     read_idx,
     synthetic_digits,
     write_idx,
 )
 from softshare.errors import DataFormatError
+from softshare.net import Batch, error_loss_and_grad, evaluate, make_network
 
 
 def test_idx_round_trip_rank_1_and_3(tmp_path):
@@ -132,19 +135,63 @@ def test_load_mnist_layout(tmp_path):
     ds = load_mnist(tmp_path, expected_counts=None)
     assert ds.train.inputs.shape == (30, 25)
     assert ds.test.inputs.shape == (10, 25)
-    assert ds.train.inputs.dtype == np.float64
     assert ds.train.labels.dtype == np.int64
-    assert 0.0 <= ds.train.inputs.min() and ds.train.inputs.max() <= 1.0
-    # pixel scaling is exactly value/255
+    # the pixels are the IDX bytes themselves
+    assert ds.train.inputs.dtype == np.uint8
     raw = read_idx(tmp_path / MNIST_FILES["train_images"])
-    np.testing.assert_array_equal(ds.train.inputs,
-                                  raw.reshape(30, -1) / 255.0)
+    np.testing.assert_array_equal(ds.train.inputs, raw.reshape(30, -1))
+
+
+def test_mnist_pixels_train_and_evaluate_as_value_over_255(tmp_path):
+    # the uint8 set trains and evaluates with the bits of its float64
+    # features pixel / 255.0
+    _write_fake_mnist(tmp_path, n_train=300, side=28)
+    ds = load_mnist(tmp_path, expected_counts=None)
+    raw = read_idx(tmp_path / MNIST_FILES["train_images"])
+    floats = Batch(raw.reshape(300, -1) / 255.0, ds.train.labels)
+    net = make_network((784, 12, 10), seed=3)
+    loss, grads = error_loss_and_grad(net, ds.train)
+    want_loss, want_grads = error_loss_and_grad(net, floats)
+    assert loss == want_loss
+    for (dw, db), (want_dw, want_db) in zip(grads, want_grads):
+        assert np.array_equal(dw, want_dw) and np.array_equal(db, want_db)
+    assert evaluate(net, ds.train) == evaluate(net, floats)
 
 
 def test_load_mnist_enforces_official_counts(tmp_path):
     _write_fake_mnist(tmp_path)
     with pytest.raises(DataFormatError, match="expected 60000/10000"):
         load_mnist(tmp_path)
+
+
+def _write_zero_idx_gz(path, dims):
+    """A gzip IDX file of zero bytes, compressed a megabyte at a time."""
+    pack = zlib.compressobj(9, zlib.DEFLATED, 31)
+    chunks = [pack.compress(b"\x00\x00\x08" + bytes([len(dims)])
+                            + b"".join(d.to_bytes(4, "big") for d in dims))]
+    left = int(np.prod(dims))
+    while left:
+        chunks.append(pack.compress(bytes(min(left, 1 << 20))))
+        left -= min(left, 1 << 20)
+    path.write_bytes(b"".join(chunks) + pack.flush())
+
+
+def test_load_mnist_checks_official_sizes_before_inflating(tmp_path):
+    # a well-formed set whose train images claim 60001 images: 47 MB of body
+    # that need not be inflated to see the wrong count
+    for key, dims in (("train_images", (60001, 28, 28)), ("train_labels", (60000,)),
+                      ("test_images", (10000, 28, 28)), ("test_labels", (10000,))):
+        _write_zero_idx_gz(tmp_path / (MNIST_FILES[key] + ".gz"), dims)
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="expected 60000/10000"):
+            load_mnist(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 4 << 20, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_load_mnist_rejects_bad_labels(tmp_path):
@@ -158,7 +205,7 @@ def test_synthetic_corpus_shapes_and_ranges():
     assert ds.train.inputs.shape == (64, 784)
     assert ds.test.inputs.shape == (16, 784)
     assert ds.train.labels.min() >= 0 and ds.train.labels.max() <= 9
-    assert ds.train.inputs.min() >= 0.0 and ds.train.inputs.max() <= 1.0
+    assert ds.train.inputs.dtype == np.uint8   # 8-bit grayscale, as MNIST
     # the dead border stays exactly zero, like centered digit data
     images = ds.train.inputs.reshape(64, 28, 28)
     assert np.all(images[:, :2, :] == 0.0)
@@ -212,19 +259,19 @@ def _per_image_shift_corpus(n_train, n_test, seed, noise=0.055,
 def test_grouped_shifts_match_the_per_image_loop():
     ds = synthetic_digits(n_train=300, n_test=90, seed=11)
     (train_x, train_y), (test_x, test_y) = _per_image_shift_corpus(300, 90, 11)
-    assert np.array_equal(ds.train.inputs, train_x)
+    assert np.array_equal(ds.train.inputs, np.rint(255 * train_x))
     assert np.array_equal(ds.train.labels, train_y)
-    assert np.array_equal(ds.test.inputs, test_x)
+    assert np.array_equal(ds.test.inputs, np.rint(255 * test_x))
     assert np.array_equal(ds.test.labels, test_y)
 
 
-@pytest.mark.parametrize("n", [1, 64, 129])
+@pytest.mark.parametrize("n", [1, 64, 129, SYNTHETIC_BLOCK - 1, SYNTHETIC_BLOCK + 1])
 def test_blockwise_noise_matches_the_whole_array_draw_at_block_edges(n):
     ds = synthetic_digits(n_train=n, n_test=n, seed=5)
     (train_x, train_y), (test_x, test_y) = _per_image_shift_corpus(n, n, 5)
-    assert np.array_equal(ds.train.inputs, train_x)
+    assert np.array_equal(ds.train.inputs, np.rint(255 * train_x))
     assert np.array_equal(ds.train.labels, train_y)
-    assert np.array_equal(ds.test.inputs, test_x)
+    assert np.array_equal(ds.test.inputs, np.rint(255 * test_x))
     assert np.array_equal(ds.test.labels, test_y)
 
 

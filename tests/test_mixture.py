@@ -29,8 +29,6 @@ from softshare.mixture import (
     _component_terms,
     _neg_q,
     _within_reach,
-    beta_params_from_mode_pseudocount,
-    gamma_params_from_mode_var,
     hyper_grads,
     hyper_log_density,
     init_mixture,
@@ -187,18 +185,6 @@ def test_hyper_config_validation_and_disable():
         HyperPriorConfig(gamma_zero=(1.0, 1.0))  # needs alpha > 1
     with pytest.raises(ConfigurationError):
         HyperPriorConfig(gamma_rest=(3.0, 0.0))
-
-
-def test_gamma_params_from_mode_var():
-    alpha, beta = gamma_params_from_mode_var(400.0, 100.0**2)
-    assert (alpha - 1.0) / beta == pytest.approx(400.0, rel=1e-12)
-    assert alpha / beta**2 == pytest.approx(100.0**2, rel=1e-12)
-
-
-def test_beta_params_from_mode_pseudocount():
-    alpha, beta = beta_params_from_mode_pseudocount(0.99, 1000.0)
-    assert alpha + beta == pytest.approx(1000.0, rel=1e-12)
-    assert (alpha - 1.0) / (alpha + beta - 2.0) == pytest.approx(0.99, rel=1e-12)
 
 
 class TestInitMixture:

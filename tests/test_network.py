@@ -50,6 +50,16 @@ def test_forward_rows_are_distributions():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
 
 
+def test_uint8_pixels_forward_as_pixel_over_255():
+    rng = np.random.default_rng(5)
+    net = _random_net(rng)
+    pixels = rng.integers(0, 256, size=(9, net.in_dim)).astype(np.uint8)
+    labels = rng.integers(0, net.out_dim, size=9)
+    batch = Batch(pixels, labels)
+    assert batch.inputs.dtype == np.uint8
+    assert np.array_equal(forward(net, batch), forward(net, Batch(pixels / 255.0, labels)))
+
+
 def test_loss_matches_scipy_log_softmax():
     rng = np.random.default_rng(4)
     net = _random_net(rng)
