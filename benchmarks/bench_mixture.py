@@ -47,7 +47,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 import run  # noqa: E402
 from softshare.mixture import init_mixture, log_prior, prior_grads  # noqa: E402
-from softshare.net import flat_weights, make_network, set_flat_weights  # noqa: E402
+from softshare.net import make_network  # noqa: E402
 from softshare.postprocess import quantize  # noqa: E402
 
 SIZES = (784, 300, 100, 10)
@@ -72,7 +72,7 @@ def time_call(fn) -> dict:
 def states() -> dict:
     """The three (network, mixture) states of the module docstring."""
     net = make_network(SIZES, seed=0)
-    m = init_mixture(flat_weights(net), N_FREE, PI0, weight_decay=0.0)
+    m = init_mixture(net.weights, N_FREE, PI0, weight_decay=0.0)
     out = {"early": (net, m)}
     for state, var in STATE_VARIANCES.items():
         rng = np.random.default_rng(1)
@@ -81,7 +81,7 @@ def states() -> dict:
         n = net.weight_count
         j = np.where(rng.random(n) < SPIKE_SHARE, 0, rng.integers(1, ms.n_components, n))
         net_s = make_network(SIZES, seed=0)
-        set_flat_weights(net_s, ms.means[j] + math.sqrt(var) * rng.standard_normal(n))
+        net_s.weights[:] = ms.means[j] + math.sqrt(var) * rng.standard_normal(n)
         out[state] = (net_s, ms)
     return out
 
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         env["blas"] = f"{env['blas'].get('name', 'unknown')} {env['blas'].get('version', '')}".strip()
     kernels = {}
     for state, (net, m) in states().items():
-        w = flat_weights(net)
+        w = net.weights
         kernels[f"prior_grads_{state}"] = time_call(lambda: prior_grads(w, m))
         kernels[f"log_prior_{state}"] = time_call(lambda: log_prior(w, m))
         kernels[f"quantize_{state}"] = time_call(lambda: quantize(net, m))

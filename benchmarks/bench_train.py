@@ -7,9 +7,10 @@ seeded 784-300-100-10 network and batches of the synthetic corpus:
 
     error_loss_and_grad_b128  backprop of one pretraining batch (128 images)
     error_loss_and_grad_b256  backprop of one retraining batch (256 images)
-    step_layers               the Adam step of all six weight and bias arrays,
-                              on the gradients of a batch of 128, without the
-                              L2 term, as the reference pretraining runs it
+    adam_steps                the two Adam steps of one training step, over
+                              the flat weight and bias vectors, on the
+                              gradients of a batch of 128, without the L2
+                              term, as the reference pretraining runs them
     evaluate_2000             the test error over the reference test set
                               (2000 images), as every retraining epoch and
                               the encode stage take it
@@ -26,8 +27,8 @@ Warm-up does not warm the heap for a kernel that allocates weight-sized
 temporaries. In this small process glibc hands the freed top of its heap
 back to the kernel after every call, so each call page-faults its
 temporaries afresh. The whole-array Adam step, which made about a dozen
-1.9 MB temporaries per (300, 784) array, took 7.0-9.6 ms per step_layers
-here, with ~1,800 faults per call (2-core Xeon). In the perfbench process,
+1.9 MB temporaries per (300, 784) array, took 7.0-9.6 ms per step of all
+six layer arrays here, with ~1,800 faults per call (2-core Xeon). In the perfbench process,
 whose repeated set-up leaves freed holes in the heap, the same step took
 5.2 ms with no faults. That cold-heap cost is why the 6.3-7.9 ms once
 recorded for that step overstated it. The blocked step allocates nothing
@@ -61,7 +62,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run  # noqa: E402
 from softshare.data import synthetic_digits  # noqa: E402
 from softshare.net import Batch, error_loss_and_grad, evaluate, make_network  # noqa: E402
-from softshare.train import layer_adams, step_layers  # noqa: E402
+from softshare.train import AdamState  # noqa: E402
 
 SIZES = (784, 300, 100, 10)
 BATCHES = (128, 256)
@@ -102,14 +103,20 @@ def main(argv=None) -> int:
     corpus = synthetic_digits(max(BATCHES), N_TEST, seed=0)
     data, test = corpus.train, corpus.test
     batches = {n: Batch(data.inputs[:n], data.labels[:n]) for n in BATCHES}
-    _, grads = error_loss_and_grad(net, batches[128])
-    adams = layer_adams(net, 1e-3)
+    _, d_weights, d_biases = error_loss_and_grad(net, batches[128])
+    adam_w = AdamState(net.weights.shape, 1e-3)
+    adam_b = AdamState(net.biases.shape, 1e-3)
+
+    def adam_steps():
+        adam_w.step(net.weights, d_weights)
+        adam_b.step(net.biases, d_biases)
+
     env = run.environment({v: os.environ.get(v) for v in run.THREAD_VARS})
     if isinstance(env["blas"], dict):  # keep name and version, not build directories
         env["blas"] = f"{env['blas'].get('name', 'unknown')} {env['blas'].get('version', '')}".strip()
     kernels = {f"error_loss_and_grad_b{n}": time_call(lambda b=b: error_loss_and_grad(net, b))
                for n, b in batches.items()}
-    kernels["step_layers"] = time_call(lambda: step_layers(net, adams, grads))
+    kernels["adam_steps"] = time_call(adam_steps)
     kernels["evaluate_2000"] = time_call(lambda: evaluate(net, test))
     result = {
         "shape": {"layer_sizes": list(SIZES), "batches": list(BATCHES), "test": N_TEST},

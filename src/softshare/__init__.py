@@ -17,7 +17,7 @@ from .codec import (
     to_csr,
 )
 from .config import ExperimentConfig, load_config
-from .data import MnistDataset, load_mnist, read_idx, synthetic_digits, write_idx
+from .data import MnistDataset, load_mnist, read_idx, synthetic_digits
 from .errors import (
     ConfigurationError,
     DataFormatError,

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigurationError, DataFormatError
 from .mixture import HyperPriorConfig, MixtureModel
 from .net import ACTIVATIONS, Layer, Network
 
@@ -108,8 +108,18 @@ class _Cursor:
 
 def load_checkpoint(path) -> tuple[Network, Optional[MixtureModel],
                                    Optional[HyperPriorConfig]]:
+    """Read an SWSC file. Layers are built on views of the file's bytes, so
+    the network's packing is the one copy of its parameters. A file whose
+    fields fail the network or mixture checks raises DataFormatError."""
     with open(path, "rb") as f:
         cur = _Cursor(f.read(), str(path))
+    try:
+        return _read_checkpoint(cur)
+    except ConfigurationError as e:
+        raise DataFormatError(f"{cur.name}: {e}") from e
+
+
+def _read_checkpoint(cur: _Cursor):
     if cur.take(4) != SWSC_MAGIC:
         raise DataFormatError(f"{cur.name}: bad magic, not a checkpoint")
     version, n_layers = cur.unpack("<HH")
@@ -122,8 +132,7 @@ def load_checkpoint(path) -> tuple[Network, Optional[MixtureModel],
             raise DataFormatError(f"{cur.name}: bad activation tag {tag}")
         w = np.frombuffer(cur.take(8 * rows * cols), dtype="<f8")
         b = np.frombuffer(cur.take(8 * rows), dtype="<f8")
-        layers.append(Layer(w.reshape(rows, cols).copy(), b.copy(),
-                            ACTIVATIONS[tag]))
+        layers.append(Layer(w.reshape(rows, cols), b, ACTIVATIONS[tag]))
     net = Network(layers)
     if cur.remaining == 0:
         return net, None, None

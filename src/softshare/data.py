@@ -24,7 +24,6 @@ and stored as np.rint(255 * x).
 
 from __future__ import annotations
 
-import gzip
 import math
 import struct
 import sys
@@ -34,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_file
 from .errors import DataFormatError
 from .net import Batch
 
@@ -132,15 +130,6 @@ def read_idx(path) -> np.ndarray:
         raise DataFormatError(f"{path}: expected {n} data bytes, found "
                               f"{'more' if len(body) > n else len(body)}")
     return np.frombuffer(body, dtype=np.uint8).reshape(dims).copy()
-
-
-def write_idx(path, array: np.ndarray) -> None:
-    """Write an unsigned-byte array in IDX layout (gzip if path ends .gz)."""
-    a = np.ascontiguousarray(array, dtype=np.uint8)
-    header = struct.pack(">HBB", 0, IDX_UBYTE, a.ndim)
-    header += struct.pack(f">{a.ndim}I", *a.shape)
-    blob = header + a.tobytes()
-    write_file(path, gzip.compress(blob, mtime=0) if Path(path).suffix == ".gz" else blob)
 
 
 def _to_batch(images: np.ndarray, labels: np.ndarray, name: str) -> Batch:

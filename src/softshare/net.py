@@ -6,6 +6,13 @@ shape (out, in), a bias vector of shape (out,), and an activation name.
 Hidden layers use relu; the final layer must use softmax. The error loss
 is the mean cross-entropy of the true class over a batch.
 
+A Network owns two flat vectors: ``weights`` holds every weight matrix,
+layer by layer, row-major, and ``biases`` every bias vector in the same
+order. Each layer's ``weights`` and ``biases`` are reshaped views into
+them, so the mixture prior reads the whole weight vector w in place and
+training steps each vector with one Adam state; ``split_like_weights``
+views any per-weight vector layer by layer.
+
 Only weight-matrix entries count toward ``weight_count``; biases are
 trained normally but are tracked separately (they stay dense and at full
 precision through the whole compression pipeline).
@@ -57,13 +64,21 @@ class Layer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "Layer":
-        return Layer(self.weights.copy(), self.biases.copy(), self.activation)
-
 
 @dataclass
 class Network:
+    """Layers whose parameters live in two flat float64 vectors.
+
+    Construction packs every layer's weights into ``weights`` and its
+    biases into ``biases``, then rebinds each layer's arrays to views into
+    them, one layer at a time, so the layer's own arrays can be freed as
+    it goes. The layers belong to the network from then on: write through
+    their views, never rebind ``layer.weights`` or ``layer.biases``.
+    """
+
     layers: list[Layer]
+    weights: np.ndarray = field(init=False, repr=False)  # (weight_count,)
+    biases: np.ndarray = field(init=False, repr=False)   # (total out units,)
 
     def __post_init__(self):
         if not self.layers:
@@ -75,6 +90,12 @@ class Network:
                 )
         if self.layers[-1].activation != "softmax":
             raise ConfigurationError("final layer must use softmax")
+        self.weights = np.empty(sum(l.weights.size for l in self.layers))
+        self.biases = np.empty(sum(l.out_dim for l in self.layers))
+        for layer, w, b in zip(self.layers, split_like_weights(self, self.weights),
+                               _split_like_biases(self, self.biases)):
+            w[...], b[...] = layer.weights, layer.biases
+            layer.weights, layer.biases = w, b
 
     @property
     def in_dim(self) -> int:
@@ -87,10 +108,11 @@ class Network:
     @property
     def weight_count(self) -> int:
         """Total number of weight-matrix entries (biases excluded)."""
-        return sum(l.weights.size for l in self.layers)
+        return self.weights.size
 
     def copy(self) -> "Network":
-        return Network([l.copy() for l in self.layers])
+        """An independent network; packing copies each vector once."""
+        return Network([Layer(l.weights, l.biases, l.activation) for l in self.layers])
 
 
 @dataclass
@@ -192,8 +214,8 @@ def _diagnose_nonfinite(net: Network, inputs: np.ndarray) -> str:
 def error_loss_and_grad(net: Network, batch: Batch):
     """Mean cross-entropy of the true class and its exact gradients.
 
-    Returns (loss, grads) where grads is a list of (d_weights, d_biases)
-    pairs matching ``net.layers``.
+    Returns (loss, d_weights, d_biases), the gradients flat vectors laid
+    out like ``net.weights`` and ``net.biases``.
     """
     pre, acts = _forward_trace(net, batch.inputs)
     n = len(batch)
@@ -210,12 +232,20 @@ def error_loss_and_grad(net: Network, batch: Batch):
     delta[np.arange(n), batch.labels] -= 1.0
     delta /= n
 
-    grads = [None] * len(net.layers)
+    d_weights = np.empty_like(net.weights)
+    d_biases = np.empty_like(net.biases)
+    dw = split_like_weights(net, d_weights)
+    db = _split_like_biases(net, d_biases)
+    # each activation and pre-activation is dropped after its last read, so
+    # the gradient vectors take no more memory than the trace they replace
+    pre.pop()
+    acts.pop()
     for k in range(len(net.layers) - 1, -1, -1):
-        grads[k] = (delta.T @ acts[k], delta.sum(axis=0))
+        np.matmul(delta.T, acts.pop(), out=dw[k])
+        np.sum(delta, axis=0, out=db[k])
         if k > 0:
-            delta = (delta @ net.layers[k].weights) * (pre[k - 1] > 0.0)
-    return loss, grads
+            delta = (delta @ net.layers[k].weights) * (pre.pop() > 0.0)
+    return loss, d_weights, d_biases
 
 
 def evaluate(net: Network, batch: Batch) -> float:
@@ -242,21 +272,6 @@ def iter_batches(inputs, labels, batch_size, rng=None):
         yield Batch(inputs[idx], labels[idx])
 
 
-def flat_weights(net: Network) -> np.ndarray:
-    """All weight-matrix entries concatenated layer by layer (copy)."""
-    return np.concatenate([l.weights.ravel() for l in net.layers])
-
-
-def set_flat_weights(net: Network, flat: np.ndarray) -> None:
-    if flat.shape != (net.weight_count,):
-        raise ConfigurationError("flat weight vector has the wrong length")
-    pos = 0
-    for layer in net.layers:
-        size = layer.weights.size
-        layer.weights[...] = flat[pos:pos + size].reshape(layer.weights.shape)
-        pos += size
-
-
 def split_like_weights(net: Network, flat: np.ndarray):
     """Views of a flat per-weight vector reshaped to each layer's matrix."""
     out = []
@@ -266,3 +281,8 @@ def split_like_weights(net: Network, flat: np.ndarray):
         out.append(flat[pos:pos + size].reshape(layer.weights.shape))
         pos += size
     return out
+
+
+def _split_like_biases(net: Network, flat: np.ndarray):
+    """Views of a flat per-bias vector, one per layer."""
+    return np.split(flat, np.cumsum([l.out_dim for l in net.layers])[:-1])

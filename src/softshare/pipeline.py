@@ -48,10 +48,10 @@ from .data import MnistDataset, load_mnist, synthetic_digits
 from .errors import ConfigurationError, SoftShareError
 from .mixture import init_mixture
 from .net import Batch, Layer, Network, error_loss_and_grad, evaluate, \
-    flat_weights, iter_batches, make_network
+    iter_batches, make_network
 from .postprocess import QuantizedNetwork, load_quantized, merge_pass, \
     quantize, save_quantized
-from .train import layer_adams, retrain, step_layers, trace_to_csv
+from .train import AdamState, retrain, trace_to_csv
 
 Emit = Callable[[str], None]
 
@@ -77,14 +77,17 @@ def pretrain_network(cfg: ExperimentConfig, data: MnistDataset,
     """Adam training on the error loss with L2 weight decay."""
     net = make_network(cfg.layer_sizes, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    adams = layer_adams(net, cfg.pretrain_lr)
+    adam_weights = AdamState(net.weights.shape, cfg.pretrain_lr)
+    adam_biases = AdamState(net.biases.shape, cfg.pretrain_lr)
     wd = cfg.weight_decay
     for epoch in range(1, cfg.pretrain_epochs + 1):
         for batch in iter_batches(data.train.inputs, data.train.labels,
                                   cfg.pretrain_batch_size, rng):
-            _, grads = error_loss_and_grad(net, batch)
-            step_layers(net, adams, grads,
-                        [wd * l.weights for l in net.layers] if wd else None)
+            _, d_weights, d_biases = error_loss_and_grad(net, batch)
+            if wd:
+                d_weights += wd * net.weights
+            adam_weights.step(net.weights, d_weights)
+            adam_biases.step(net.biases, d_biases)
         if on_epoch is not None:
             on_epoch(epoch, evaluate(net, data.test))
     return net
@@ -120,7 +123,7 @@ def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
             f"pretrained checkpoint {path} has layer shapes {shapes}, but "
             f"layer_sizes={','.join(map(str, cfg.layer_sizes))} needs {want}; "
             "remove it or point pretrained_checkpoint at a matching baseline")
-    mixture = init_mixture(flat_weights(net), cfg.n_components, cfg.pi0,
+    mixture = init_mixture(net.weights, cfg.n_components, cfg.pi0,
                            cfg.weight_decay, tau=cfg.tau,
                            pi0_trainable=cfg.pi0_trainable)
     hyper = cfg.hyper_config()
@@ -183,10 +186,11 @@ def evaluate_blob(blob: bytes, q: QuantizedNetwork, test: Batch) -> float:
     """Test error of the network decoded from an SWSB blob, with the biases
     and activations of the quantized model it was encoded from. The blob
     must hold that model's layer count and shapes, or DecodeError is raised
-    before a layer is allocated."""
-    matrices = decode_network(blob, [ql.assignments.shape for ql in q.layers])
+    before a layer is allocated. Only the network holds the decoded
+    matrices, so packing frees each one as it is copied."""
     net = Network([
-        Layer(w, ql.biases.copy(), ql.activation)
-        for w, ql in zip(matrices, q.layers)
+        Layer(w, ql.biases, ql.activation)
+        for w, ql in zip(decode_network(blob, [ql.assignments.shape for ql in q.layers]),
+                         q.layers)
     ])
     return evaluate(net, test)

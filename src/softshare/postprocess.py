@@ -28,7 +28,7 @@ import numpy as np
 from .checkpoint import _Cursor, write_file
 from .errors import ConfigurationError, DataFormatError
 from .mixture import MixtureModel, prior_pass
-from .net import ACTIVATIONS, Layer, Network, flat_weights, split_like_weights
+from .net import ACTIVATIONS, Layer, Network, split_like_weights
 
 ZERO_SNAP_TOL = 1e-4
 
@@ -70,11 +70,10 @@ class QuantizedNetwork:
                 raise ConfigurationError("assignment index outside the mean table")
 
     def to_network(self) -> Network:
-        layers = [
-            Layer(self.means[ql.assignments], ql.biases.copy(), ql.activation)
-            for ql in self.layers
-        ]
-        return Network(layers)
+        """The snapped network; only it holds each layer's snapped matrix,
+        so packing frees each one as it is copied."""
+        return Network([Layer(self.means[ql.assignments], ql.biases, ql.activation)
+                        for ql in self.layers])
 
     def prune_fraction(self, layer_index: int | None = None) -> float:
         """Share of weights assigned to the zero component."""
@@ -194,7 +193,7 @@ def quantize(net: Network, m: MixtureModel) -> QuantizedNetwork:
     Biases pass through untouched. A NaN or infinite weight raises
     NumericError naming its flat index.
     """
-    per_layer = split_like_weights(net, prior_pass(flat_weights(net), m, assign=True)[2])
+    per_layer = split_like_weights(net, prior_pass(net.weights, m, assign=True)[2])
     means = m.means.copy()
     means[0] = 0.0
     layers = [
@@ -221,8 +220,17 @@ def save_quantized(q: QuantizedNetwork, path) -> None:
 
 
 def load_quantized(path) -> QuantizedNetwork:
+    """Read an SWSQ file. A file whose fields fail the QuantizedNetwork
+    checks (mean table, assignment range) raises DataFormatError."""
     with open(path, "rb") as f:
         cur = _Cursor(f.read(), str(path))
+    try:
+        return _read_quantized(cur)
+    except ConfigurationError as e:
+        raise DataFormatError(f"{cur.name}: {e}") from e
+
+
+def _read_quantized(cur: _Cursor) -> QuantizedNetwork:
     if cur.take(4) != SWSQ_MAGIC:
         raise DataFormatError(f"{cur.name}: bad magic, not a quantized-model file")
     version, n_layers = cur.unpack("<HH")

@@ -2,11 +2,14 @@
 
 The objective is L = L_err + tau * L_comp, where L_err is the mean
 cross-entropy over a batch and L_comp = -(log p(w) + hyper terms) covers
-the full weight set regardless of batch size. Four Adam groups (network,
-means, log variances, logits) each run at their own learning rate; the
-network step, step_layers, is also pretraining's, with L2 for the prior.
-Both loops are configured by the same ExperimentConfig: pretrain_network
-reads its pretrain_* keys, retrain its retraining keys.
+the full weight set regardless of batch size. The prior pass reads the
+network's flat weight vector in place, and its weight gradient is added
+into the flat error gradient. Five Adam states step per retraining step:
+one over all weights, one over all biases (both at lr_weights), and one
+each for the means, log variances and logits at their own rates.
+Pretraining steps the same two network states, with L2 in place of the
+prior. Both loops are configured by the same ExperimentConfig:
+pretrain_network reads its pretrain_* keys, retrain its retraining keys.
 
 AdamState.step adds its update into the parameter in place, one block of
 ADAM_BLOCK elements at a time through two scratch rows. A step allocates
@@ -42,8 +45,7 @@ from .mixture import (
     prior_grads,
     subsampled_prior_grads,
 )
-from .net import (Batch, Network, error_loss_and_grad, evaluate, flat_weights, iter_batches,
-                  split_like_weights)
+from .net import Batch, Network, error_loss_and_grad, evaluate, iter_batches
 
 VARIANCE_FLOOR = 1e-8
 
@@ -112,22 +114,6 @@ class AdamState:
             p[lo:hi] += a
 
 
-def layer_adams(net: Network, lr: float) -> list[tuple[AdamState, AdamState]]:
-    """A (weights, biases) Adam pair per layer, all at learning rate lr."""
-    return [(AdamState(l.weights.shape, lr), AdamState(l.biases.shape, lr))
-            for l in net.layers]
-
-
-def step_layers(net: Network, adams, grads, extra=None) -> None:
-    """One Adam step per layer; extra[i], if given, is added into layer i's
-    dw in place, so grads must be fresh arrays the caller does not reuse."""
-    for i, (layer, (adam_w, adam_b), (dw, db)) in enumerate(zip(net.layers, adams, grads)):
-        if extra is not None:
-            dw += extra[i]
-        adam_w.step(layer.weights, dw)
-        adam_b.step(layer.biases, db)
-
-
 @dataclass
 class TraceRow:
     epoch: int
@@ -164,7 +150,7 @@ def trace_to_csv(rows: list[TraceRow]) -> str:
 def complexity_loss(net: Network, mixture: MixtureModel,
                     hyper: Optional[HyperPriorConfig]) -> float:
     """-(log p(w) + enabled hyper-prior log densities) over all weights."""
-    total = log_prior(flat_weights(net), mixture)
+    total = log_prior(net.weights, mixture)
     if hyper is not None and hyper.any_enabled:
         total += hyper_log_density(mixture, hyper)
     return -total
@@ -189,7 +175,8 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
     tau = mixture.tau
     use_prior = tau != 0.0 or (hyper is not None and hyper.any_enabled)
 
-    adam_layers = layer_adams(net, cfg.lr_weights)
+    adam_weights = AdamState(net.weights.shape, cfg.lr_weights)
+    adam_biases = AdamState(net.biases.shape, cfg.lr_weights)
     adam_means = AdamState(mixture.means.shape, cfg.lr_means)
     adam_log_vars = AdamState(mixture.log_vars.shape, cfg.lr_log_vars)
     adam_logits = AdamState(mixture.logits.shape, cfg.lr_logits)
@@ -209,25 +196,24 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
 
     def train_step(batch: Batch) -> float:
         """One step on batch; returns its error loss. The step's gradients
-        and weight copies are locals, so they are freed when it returns,
-        before the next step or the epoch-end snapshot allocates."""
-        err_loss, layer_grads = error_loss_and_grad(net, batch)
-        prior_w = None
+        are locals, so they are freed when it returns, before the next step
+        or the epoch-end snapshot allocates."""
+        err_loss, d_weights, d_biases = error_loss_and_grad(net, batch)
         if use_prior:
-            w = flat_weights(net)
-            if cfg.subsample and cfg.subsample < w.shape[0]:
-                g = subsampled_prior_grads(w, mixture, hyper, cfg.subsample, rng)
+            if cfg.subsample and cfg.subsample < net.weight_count:
+                g = subsampled_prior_grads(net.weights, mixture, hyper, cfg.subsample, rng)
             else:
-                g = prior_grads(w, mixture, hyper)
+                g = prior_grads(net.weights, mixture, hyper)
             # descent on L = L_err - tau * log joint: every gradient is
             # the log-density gradient scaled by -tau, hyper terms included
             g.d_weights *= -tau     # in place: a copy is one more weight-sized array
-            prior_w = split_like_weights(net, g.d_weights)
+            d_weights += g.d_weights
             adam_means.step(mixture.means, -tau * g.d_means, mixture_lr_scale)
             adam_log_vars.step(mixture.log_vars, -tau * g.d_log_vars, mixture_lr_scale)
             adam_logits.step(mixture.logits, -tau * g.d_logits, mixture_lr_scale)
             np.maximum(mixture.log_vars, log_floor, out=mixture.log_vars)
-        step_layers(net, adam_layers, layer_grads, prior_w)
+        adam_weights.step(net.weights, d_weights)
+        adam_biases.step(net.biases, d_biases)
         return err_loss
 
     for epoch in range(1, cfg.retrain_epochs + 1):

@@ -37,9 +37,7 @@ from softshare.mixture import (
 from softshare.net import (
     Batch,
     error_loss_and_grad,
-    flat_weights,
     make_network,
-    set_flat_weights,
 )
 from softshare.pipeline import run_pipeline
 from softshare.postprocess import merge_components
@@ -122,29 +120,18 @@ def _check_error_loss_instance(rng):
     n = int(rng.integers(3, 8))
     batch = Batch(rng.normal(0.0, 1.0, (n, sizes[0])),
                   rng.integers(0, sizes[-1], n))
-    _, grads = error_loss_and_grad(net, batch)
+    _, d_weights, d_biases = error_loss_and_grad(net, batch)
 
-    w0 = flat_weights(net)
+    for analytic, params in ((d_weights, net.weights), (d_biases, net.biases)):
+        p0 = params.copy()
 
-    def f_w(wf):
-        set_flat_weights(net, wf)
-        loss, _ = error_loss_and_grad(net, batch)
-        set_flat_weights(net, w0)
-        return loss
-
-    analytic = np.concatenate([dw.ravel() for dw, _ in grads])
-    np.testing.assert_allclose(analytic, _fd_grad(f_w, w0),
-                               rtol=FD_RTOL, atol=FD_ATOL)
-    for li, layer in enumerate(net.layers):
-        b0 = layer.biases.copy()
-
-        def f_b(bf):
-            layer.biases[...] = bf
-            loss, _ = error_loss_and_grad(net, batch)
-            layer.biases[...] = b0
+        def f(pf):
+            params[:] = pf
+            loss = error_loss_and_grad(net, batch)[0]
+            params[:] = p0
             return loss
 
-        np.testing.assert_allclose(grads[li][1], _fd_grad(f_b, b0),
+        np.testing.assert_allclose(analytic, _fd_grad(f, p0),
                                    rtol=FD_RTOL, atol=FD_ATOL)
 
 
@@ -221,20 +208,19 @@ def _check_combined_instance(rng):
     tau = 10.0 ** rng.uniform(-3.0, -0.5)
 
     def total(wf, mx):
-        set_flat_weights(net, wf)
-        loss, _ = error_loss_and_grad(net, batch)
+        net.weights[:] = wf
+        loss = error_loss_and_grad(net, batch)[0]
         complexity = -(log_prior(wf, mx)
                        + (hyper_log_density(mx, h) if h else 0.0))
         return loss + tau * complexity
 
-    w0 = flat_weights(net)
-    _, err_grads = error_loss_and_grad(net, batch)
+    w0 = net.weights.copy()
+    _, d_weights, _ = error_loss_and_grad(net, batch)
     g = prior_grads(w0, m, h)
 
-    analytic_w = (np.concatenate([dw.ravel() for dw, _ in err_grads])
-                  - tau * g.d_weights)
+    analytic_w = d_weights - tau * g.d_weights
     fd_w = _fd_grad(lambda x: total(x, m), w0)
-    set_flat_weights(net, w0)
+    net.weights[:] = w0
     np.testing.assert_allclose(analytic_w, fd_w, rtol=FD_RTOL, atol=FD_ATOL)
 
     total_of = lambda m2: total(w0, m2)

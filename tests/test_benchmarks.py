@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("bench_codec.py", {"encode_network", "decode_network", "huffman_decode"}),
     ("bench_data.py", {"synthetic_digits"}),
     ("bench_train.py", {"error_loss_and_grad_b128", "error_loss_and_grad_b256",
-                        "step_layers", "evaluate_2000"}),
+                        "adam_steps", "evaluate_2000"}),
 ])
 def test_benchmark_script_writes_its_kernel_timings(script, kernels, tmp_path):
     out = tmp_path / "result.json"

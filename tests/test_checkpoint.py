@@ -1,5 +1,6 @@
 """Full-precision checkpoint container round trips and corruption handling."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from softshare.checkpoint import load_checkpoint, save_checkpoint, write_file
 from softshare.errors import DataFormatError
 from softshare.mixture import HyperPriorConfig, MixtureModel, init_mixture
-from softshare.net import flat_weights, make_network
+from softshare.net import make_network
 
 
 def _net(seed=0):
@@ -24,7 +25,7 @@ def test_network_only_round_trip(tmp_path):
     save_checkpoint(net, path)
     net2, mixture, hyper = load_checkpoint(path)
     assert mixture is None and hyper is None
-    np.testing.assert_array_equal(flat_weights(net2), flat_weights(net))
+    np.testing.assert_array_equal(net2.weights, net.weights)
     for a, b in zip(net2.layers, net.layers):
         np.testing.assert_array_equal(a.biases, b.biases)
         assert a.activation == b.activation
@@ -33,7 +34,7 @@ def test_network_only_round_trip(tmp_path):
 @pytest.mark.parametrize("trainable", [False, True])
 def test_mixture_round_trip_is_bit_exact(tmp_path, trainable):
     net = _net(1)
-    m = init_mixture(flat_weights(net), n_free=5, pi0=0.93,
+    m = init_mixture(net.weights, n_free=5, pi0=0.93,
                      weight_decay=1e-4, tau=3e-3, pi0_trainable=trainable)
     path = tmp_path / "model.swsc"
     save_checkpoint(net, path, m)
@@ -55,7 +56,7 @@ def test_mixture_round_trip_is_bit_exact(tmp_path, trainable):
 ])
 def test_hyper_prior_round_trip(tmp_path, hyper):
     net = _net(2)
-    m = init_mixture(flat_weights(net), n_free=3, pi0=0.9,
+    m = init_mixture(net.weights, n_free=3, pi0=0.9,
                      weight_decay=0.0, tau=1e-3)
     path = tmp_path / "model.swsc"
     save_checkpoint(net, path, m, hyper)
@@ -77,7 +78,7 @@ def test_saving_hyper_without_mixture_keeps_plain_layout(tmp_path):
 
 def test_load_rejects_corruption(tmp_path):
     net = _net(4)
-    m = init_mixture(flat_weights(net), n_free=3, pi0=0.9,
+    m = init_mixture(net.weights, n_free=3, pi0=0.9,
                      weight_decay=0.0, tau=1e-3)
     path = tmp_path / "model.swsc"
     save_checkpoint(net, path, m)
@@ -103,6 +104,40 @@ def test_load_rejects_corruption(tmp_path):
     bad.write_bytes(blob + b"\x00\x00")
     with pytest.raises(DataFormatError, match="trailing"):
         load_checkpoint(bad)
+
+
+def _swsc(layers, mixture=b""):
+    """A well-formed SWSC file: (rows, cols, activation tag) per layer, zero
+    parameters, then the given mixture block bytes."""
+    parts = [b"SWSC", struct.pack("<HH", 1, len(layers))]
+    for rows, cols, tag in layers:
+        parts += [struct.pack("<IIB", rows, cols, tag), bytes(8 * (rows * cols + rows))]
+    return b"".join(parts) + mixture
+
+
+def _mixture_block(means=(0.0, 0.5), pi0=0.9, hflags=0, pairs=(0.0,) * 6):
+    k = len(means)
+    comp = np.zeros((k, 3))
+    comp[:, 0] = means
+    return (struct.pack("<H", k) + comp.astype("<f8").tobytes()
+            + struct.pack("<Bdd", 0, 1e-3, pi0) + struct.pack("<B6d", hflags, *pairs))
+
+
+@pytest.mark.parametrize("blob, match", [
+    (_swsc([(3, 4, 0)]), "final layer must use softmax"),
+    (_swsc([]), "at least one layer"),
+    (_swsc([(3, 4, 0), (2, 5, 1)]), "do not chain"),
+    (_swsc([(2, 4, 1)], _mixture_block(means=(0.25, 0.5))), "zero-spike mean"),
+    (_swsc([(2, 4, 1)], _mixture_block(pi0=1.5)), "pi0 must lie"),
+    (_swsc([(2, 4, 1)], _mixture_block(hflags=1, pairs=(0.5, 1.0, 0, 0, 0, 0))),
+     "gamma_zero needs"),
+], ids=["relu_head", "no_layers", "unchained", "spike_mean", "pi0", "hyper"])
+def test_load_rejects_well_formed_files_that_fail_validation(tmp_path, blob, match):
+    path = tmp_path / "odd.swsc"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match=match) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_write_file_creates_directories_and_replaces(tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import softshare.pipeline as pipeline_mod
-from softshare.checkpoint import load_checkpoint
+from softshare.checkpoint import load_checkpoint, save_checkpoint
 from softshare.cli import main
 from softshare.codec import encode_network
 from softshare.config import load_config
@@ -205,6 +205,17 @@ def test_eval_blob_of_another_layer_count_exits_3(tiny_config_file, tmp_path, ca
     capsys.readouterr()
     assert main(["eval", *_cfg_args(tiny_config_file), "--what", "blob"]) == 3
     assert "layer count" in capsys.readouterr().err
+
+
+def test_eval_of_a_checkpoint_that_fails_validation_exits_3(tiny_config_file, tmp_path, capsys):
+    assert main(["pretrain", *_cfg_args(tiny_config_file), "--quiet"]) == 0
+    path = tmp_path / "out" / "pretrained.swsc"
+    net, _, _ = load_checkpoint(path)
+    net.layers[-1].activation = "relu"   # a well-formed file with a relu head
+    save_checkpoint(net, path)
+    capsys.readouterr()
+    assert main(["eval", *_cfg_args(tiny_config_file), "--what", "pretrained"]) == 3
+    assert "final layer must use softmax" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_subcommand(capsys):

@@ -8,6 +8,7 @@ import hashlib
 import math
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -483,6 +484,20 @@ def test_decode_with_shapes_rejects_a_huge_empty_layer_before_allocating():
     cols_at = 8 + 1 + 4
     hostile = blob[:cols_at] + struct.pack("<I", 0xFFFFFFFF) + blob[cols_at + 4:]
     _raises_fast(lambda: decode_network(hostile, [(4, 6)]), "shape")
+
+
+def test_decode_without_shapes_caps_the_layer_size_before_allocating():
+    q = _net_of(np.zeros((4, 6), dtype=int))
+    blob, _ = encode_network(q)
+    cols_at = 8 + 1 + 4
+    hostile = blob[:cols_at] + struct.pack("<I", 0xFFFFFFFF) + blob[cols_at + 4:]
+    tracemalloc.start()
+    try:
+        _raises_fast(lambda: decode_network(hostile), "more than")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_decode_with_shapes_checks_layer_count_and_each_shape():

@@ -37,7 +37,7 @@ from softshare.mixture import (
     prior_pass,
     subsampled_prior_grads,
 )
-from softshare.net import Layer, Network, flat_weights, make_network
+from softshare.net import Layer, Network, make_network
 from softshare.postprocess import quantize
 from softshare.train import VARIANCE_FLOOR
 
@@ -338,7 +338,7 @@ def _network_state(state, trainable):
     mid, late: that mixture's means at variances 5e-6 and 1e-6, with 87% of
     the weights drawn around the zero spike and the rest around a free mean.
     """
-    w = flat_weights(make_network((784, 300, 100, 10), seed=0))
+    w = make_network((784, 300, 100, 10), seed=0).weights
     m = init_mixture(w, 16, 0.95, weight_decay=0.0, pi0_trainable=trainable)
     if state == "early":
         return w, m

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax
 
+from softshare.checkpoint import load_checkpoint, save_checkpoint
 from softshare.errors import ConfigurationError
 from softshare.net import (
     EVAL_BLOCK,
@@ -19,11 +20,9 @@ from softshare.net import (
     Network,
     error_loss_and_grad,
     evaluate,
-    flat_weights,
     forward,
     iter_batches,
     make_network,
-    set_flat_weights,
     split_like_weights,
 )
 
@@ -64,7 +63,7 @@ def test_loss_matches_scipy_log_softmax():
     rng = np.random.default_rng(4)
     net = _random_net(rng)
     batch = _random_batch(rng, net)
-    loss, _ = error_loss_and_grad(net, batch)
+    loss = error_loss_and_grad(net, batch)[0]
 
     a = batch.inputs
     for layer in net.layers[:-1]:
@@ -82,9 +81,9 @@ def _fd_loss(net, batch, get, set_, eps=1e-6):
         idx = np.unravel_index(i, base.shape)
         orig = base[idx]
         set_(idx, orig + eps)
-        up, _ = error_loss_and_grad(net, batch)
+        up = error_loss_and_grad(net, batch)[0]
         set_(idx, orig - eps)
-        down, _ = error_loss_and_grad(net, batch)
+        down = error_loss_and_grad(net, batch)[0]
         set_(idx, orig)
         g[idx] = (up - down) / (2 * eps)
     return g
@@ -95,7 +94,8 @@ def test_backprop_matches_finite_differences(seed):
     rng = np.random.default_rng(100 + seed)
     net = _random_net(rng, sizes=(5, 4, 3))
     batch = _random_batch(rng, net, n=6)
-    _, grads = error_loss_and_grad(net, batch)
+    _, d_weights, d_biases = error_loss_and_grad(net, batch)
+    d_weights, d_biases = split_like_weights(net, d_weights), np.split(d_biases, [4])
 
     for k, layer in enumerate(net.layers):
         fd_w = _fd_loss(
@@ -108,8 +108,8 @@ def test_backprop_matches_finite_differences(seed):
             lambda: layer.biases,
             lambda idx, v: layer.biases.__setitem__(idx, v),
         )
-        np.testing.assert_allclose(grads[k][0], fd_w, rtol=1e-5, atol=1e-9)
-        np.testing.assert_allclose(grads[k][1], fd_b, rtol=1e-5, atol=1e-9)
+        np.testing.assert_allclose(d_weights[k], fd_w, rtol=1e-5, atol=1e-9)
+        np.testing.assert_allclose(d_biases[k], fd_b, rtol=1e-5, atol=1e-9)
 
 
 def test_confidently_wrong_prediction_keeps_loss_finite():
@@ -117,9 +117,9 @@ def test_confidently_wrong_prediction_keeps_loss_finite():
     w = np.array([[40.0], [-40.0]])
     net = Network([Layer(w, np.zeros(2), "softmax")])
     batch = Batch(np.array([[30.0]]), np.array([1]))
-    loss, grads = error_loss_and_grad(net, batch)
+    loss, d_weights, d_biases = error_loss_and_grad(net, batch)
     assert np.isfinite(loss)
-    assert all(np.all(np.isfinite(g)) for g, _ in grads)
+    assert np.all(np.isfinite(d_weights)) and np.all(np.isfinite(d_biases))
 
 
 def test_evaluate_counts_top1_errors():
@@ -153,6 +153,25 @@ def test_evaluate_keeps_one_block_of_trace():
     # the whole batch's pre-activations and activations of the three layers
     # are 2000 * 2 * 410 float64s, 13 MB; one block of EVAL_BLOCK rows is 1.7 MB
     assert peak < 4_000_000
+
+
+def test_backprop_peaks_under_its_trace_plus_the_gradients():
+    rng = np.random.default_rng(4)
+    net = make_network((784, 300, 100, 10), seed=0)
+    batch = Batch(rng.integers(0, 256, (1000, 784)).astype(np.uint8),
+                  rng.integers(0, 10, 1000))
+    tracemalloc.start()
+    try:
+        error_loss_and_grad(net, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # float64 inputs, pre-activations and activations of the three layers,
+    # the two gradient vectors, and 1 MB for the loss's small arrays and the
+    # deltas: the backward pass frees each activation after its last read,
+    # so the gradients do not stack on the whole trace (17.5 MB when they did)
+    trace = 1000 * (784 + 2 * 410) * 8
+    assert peak < trace + net.weights.nbytes + net.biases.nbytes + 1_000_000
 
 
 def test_batch_is_never_empty():
@@ -216,15 +235,33 @@ def test_iter_batches_covers_everything_once():
     np.testing.assert_array_equal(plain, inputs.ravel())
 
 
-def test_flat_weights_round_trip():
+def test_layers_view_the_packed_vectors(tmp_path):
     net = make_network((4, 3, 2), seed=1)
-    flat = flat_weights(net)
-    assert flat.shape == (net.weight_count,)
-    other = make_network((4, 3, 2), seed=2)
-    set_flat_weights(other, flat)
-    np.testing.assert_array_equal(flat_weights(other), flat)
-    views = split_like_weights(net, flat)
+    assert net.weights.shape == (net.weight_count,) == (4 * 3 + 3 * 2,)
+    assert net.biases.shape == (3 + 2,)
+    views = split_like_weights(net, net.weights)
     assert [v.shape for v in views] == [(3, 4), (2, 3)]
-    np.testing.assert_array_equal(views[0], net.layers[0].weights)
-    with pytest.raises(ConfigurationError):
-        set_flat_weights(net, flat[:-1])
+    for view, layer in zip(views, net.layers):
+        np.testing.assert_array_equal(view, layer.weights)
+    # writes through a layer's views show in the flat vectors, and back
+    net.layers[1].weights[0, 2] = 7.0
+    net.layers[1].biases[1] = -3.0
+    assert net.weights[12 + 2] == 7.0 and net.biases[3 + 1] == -3.0
+    net.weights[0] = 5.0
+    assert net.layers[0].weights[0, 0] == 5.0
+    # a copy owns its vectors
+    other = net.copy()
+    np.testing.assert_array_equal(other.weights, net.weights)
+    np.testing.assert_array_equal(other.biases, net.biases)
+    other.layers[0].weights[...] = 0.0
+    other.biases[...] = 0.0
+    assert net.weights[0] == 5.0 and net.biases[4] == -3.0
+    assert not other.layers[0].weights.any() and not other.weights[:12].any()
+    # a loaded checkpoint comes back packed, in its own writable vectors
+    save_checkpoint(net, tmp_path / "net.swsc")
+    loaded, _, _ = load_checkpoint(tmp_path / "net.swsc")
+    assert loaded.weights.tobytes() == net.weights.tobytes()
+    assert loaded.biases.tobytes() == net.biases.tobytes()
+    loaded.weights[12 + 2] = 1.0
+    loaded.biases[0] = 2.0
+    assert loaded.layers[1].weights[0, 2] == 1.0 and loaded.layers[0].biases[0] == 2.0

@@ -6,7 +6,7 @@ import pytest
 
 from softshare.checkpoint import load_checkpoint, save_checkpoint
 from softshare.errors import DataFormatError, SoftShareError
-from softshare.net import evaluate, flat_weights
+from softshare.net import evaluate
 from softshare.pipeline import (
     evaluate_blob,
     load_dataset,
@@ -113,7 +113,7 @@ def test_pretrain_network_is_deterministic(tiny_config):
     data = load_dataset(cfg)
     a = pretrain_network(cfg, data)
     b = pretrain_network(cfg, data)
-    np.testing.assert_array_equal(flat_weights(a), flat_weights(b))
+    np.testing.assert_array_equal(a.weights, b.weights)
 
 
 def test_pretrain_weight_decay_shrinks_weights(tiny_config):
@@ -121,8 +121,8 @@ def test_pretrain_weight_decay_shrinks_weights(tiny_config):
     data = load_dataset(cfg)
     plain = pretrain_network(cfg, data)
     decayed = pretrain_network(tiny_config(weight_decay=0.2), data)
-    assert (np.abs(flat_weights(decayed)).mean()
-            < np.abs(flat_weights(plain)).mean())
+    assert (np.abs(decayed.weights).mean()
+            < np.abs(plain.weights).mean())
 
 
 def test_evaluate_blob_rejects_layer_count_mismatch(tiny_config):

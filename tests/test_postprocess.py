@@ -5,6 +5,7 @@ independent of the closed form under test. Merge identities are checked
 against moment sums computed directly from the parent mixture.
 """
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.stats import norm
 
 from softshare.errors import ConfigurationError, DataFormatError, NumericError
 from softshare.mixture import MixtureModel, _chunk_density, _component_terms, _neg_q
-from softshare.net import Layer, Network, flat_weights
+from softshare.net import Layer, Network
 from softshare.postprocess import (
     ZERO_SNAP_TOL,
     QuantizedLayer,
@@ -180,7 +181,7 @@ def test_quantize_assigns_by_responsibility_argmax():
     expected = np.array([[0, 1, 2, 0], [2, 0, 1, 0]])
     np.testing.assert_array_equal(q.layers[0].assignments, expected)
     # and against the responsibilities of _chunk_density over all weights at once
-    w = flat_weights(net)
+    w = net.weights
     comp = _component_terms(m)
     E = np.empty((comp.live.size, w.size))
     _neg_q(w, comp, E)
@@ -239,6 +240,23 @@ def test_quantized_network_validation():
         QuantizedNetwork([ql], np.array([0.1, 0.5]))  # slot 0 not zero
     with pytest.raises(ConfigurationError):
         QuantizedNetwork([ql], np.array([0.0]))  # index 1 out of range
+
+
+@pytest.mark.parametrize("means, assignment, match", [
+    ([0.5, 0.25], 1, "slot 0 must be exactly 0"),
+    ([0.0, 0.25], 2, "outside the mean table"),
+    ([], 0, "non-empty"),
+])
+def test_load_rejects_well_formed_files_that_fail_validation(
+        tmp_path, means, assignment, match):
+    blob = (b"SWSQ" + struct.pack("<HHH", 1, 1, len(means))
+            + np.asarray(means, dtype="<f8").tobytes()
+            + struct.pack("<IIBB", 1, 2, 1, 1) + bytes([0, assignment]) + bytes(8))
+    path = tmp_path / "odd.swsq"
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match=match) as info:
+        load_quantized(path)
+    assert str(path) in str(info.value)
 
 
 def test_save_load_round_trip(tmp_path):

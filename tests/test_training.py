@@ -9,16 +9,14 @@ import softshare.train as train_mod
 from softshare.config import ExperimentConfig
 from softshare.errors import ConfigurationError, DivergenceError
 from softshare.mixture import HyperPriorConfig, init_mixture
-from softshare.net import Batch, flat_weights, make_network
+from softshare.net import Batch, make_network, split_like_weights
 from softshare.train import (
     ADAM_BLOCK,
     VARIANCE_FLOOR,
     AdamState,
     TraceRow,
     complexity_loss,
-    layer_adams,
     retrain,
-    step_layers,
     trace_to_csv,
 )
 
@@ -123,26 +121,29 @@ def test_adam_step_allocates_no_weight_sized_temporaries():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("with_extra", [False, True])
-def test_step_layers_is_one_adam_step_per_array(with_extra):
+def test_one_adam_step_over_the_packed_weights_equals_per_array_steps():
+    # training steps net.weights and net.biases with one Adam state each;
+    # the artifacts stay those of one state per layer array because Adam is
+    # elementwise, whatever its block boundaries
     rng = np.random.default_rng(5)
-    net, ref = make_network((6, 5, 3), seed=1), make_network((6, 5, 3), seed=1)
-    adams, ref_adams = layer_adams(net, 1e-2), layer_adams(ref, 1e-2)
-    for _ in range(3):
-        grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
-                 for l in net.layers]
-        extra = ([rng.normal(size=l.weights.shape) for l in net.layers]
-                 if with_extra else None)
-        # step_layers adds extra into grads in place, so sum them first
-        ref_grads = [(dw + extra[i] if with_extra else dw, db)
-                     for i, (dw, db) in enumerate(grads)]
-        step_layers(net, adams, grads, extra)
-        for layer, (aw, ab), (dw, db) in zip(ref.layers, ref_adams, ref_grads):
-            aw.step(layer.weights, dw)
-            ab.step(layer.biases, db)
-    for a, b in zip(net.layers, ref.layers):
-        assert a.weights.tobytes() == b.weights.tobytes()
-        assert a.biases.tobytes() == b.biases.tobytes()
+    net = make_network((784, 300, 100, 10), seed=1)
+    ref = [(l.weights.copy(), l.biases.copy()) for l in net.layers]
+    adam_w = AdamState(net.weights.shape, 1e-2)
+    adam_b = AdamState(net.biases.shape, 1e-2)
+    ref_adams = [(AdamState(w.shape, 1e-2), AdamState(b.shape, 1e-2)) for w, b in ref]
+    for lr_scale in (1.0, 0.5, 1.0):
+        d_weights = rng.normal(size=net.weights.shape)
+        d_biases = rng.normal(size=net.biases.shape)
+        adam_w.step(net.weights, d_weights, lr_scale)
+        adam_b.step(net.biases, d_biases, lr_scale)
+        for (w, b), (aw, ab), dw, db in zip(ref, ref_adams,
+                                            split_like_weights(net, d_weights),
+                                            np.split(d_biases, [300, 400])):
+            aw.step(w, dw, lr_scale)
+            ab.step(b, db, lr_scale)
+    for layer, (w, b) in zip(net.layers, ref):
+        assert layer.weights.tobytes() == w.tobytes()
+        assert layer.biases.tobytes() == b.tobytes()
 
 
 def _tiny_problem(seed=0, n=40, tau=1e-3):
@@ -151,7 +152,7 @@ def _tiny_problem(seed=0, n=40, tau=1e-3):
     for layer in net.layers:
         layer.biases[...] = rng.normal(0.0, 0.1, layer.biases.shape)
     data = Batch(rng.normal(0.0, 1.0, (n, 6)), rng.integers(0, 3, n))
-    mx = init_mixture(flat_weights(net), n_free=3, pi0=0.9,
+    mx = init_mixture(net.weights, n_free=3, pi0=0.9,
                       weight_decay=1e-4, tau=tau)
     return net, mx, data
 
@@ -160,9 +161,9 @@ def test_no_step_array_outlives_its_step():
     rng = np.random.default_rng(1)
     net = make_network((784, 64, 10), seed=1)
     data = Batch(rng.random((512, 784)), rng.integers(0, 10, 512))
-    mx = init_mixture(flat_weights(net), n_free=3, pi0=0.9, weight_decay=1e-4, tau=1e-3)
+    mx = init_mixture(net.weights, n_free=3, pi0=0.9, weight_decay=1e-4, tau=1e-3)
     cfg = ExperimentConfig(layer_sizes=(784, 64, 10), batch_size=256, retrain_epochs=2)
-    w0 = net.layers[0].weights.nbytes
+    w0 = net.weights.nbytes
     live = []
 
     def on_epoch(row):
@@ -174,19 +175,19 @@ def test_no_step_array_outlives_its_step():
         retrain(net, mx, data, cfg, test_data=data, on_epoch=on_epoch)
     finally:
         tracemalloc.stop()
-    # the retrained layer 0 and its two Adam moments; the last step's batch,
-    # gradients or flat weight copies would add blocks of w0 bytes or more
+    # the retrained weights and their two Adam moments; the last step's
+    # batch, gradients or weight copies would add blocks of w0 bytes or more
     assert live == [[w0] * 3] * 2
 
 
 def test_retrain_does_not_mutate_inputs():
     net, mx, data = _tiny_problem()
-    w_before = flat_weights(net).copy()
+    w_before = net.weights.copy()
     means_before = mx.means.copy()
     x_before = data.inputs.copy()
     net2, mx2, trace = retrain(net, mx, data,
                                ExperimentConfig(retrain_epochs=2, batch_size=16))
-    np.testing.assert_array_equal(flat_weights(net), w_before)
+    np.testing.assert_array_equal(net.weights, w_before)
     np.testing.assert_array_equal(mx.means, means_before)
     np.testing.assert_array_equal(data.inputs, x_before)
     assert net2 is not net and mx2 is not mx
@@ -209,7 +210,7 @@ def test_tau_zero_without_hyper_skips_prior_entirely(monkeypatch):
     np.testing.assert_array_equal(mx2.log_vars, mx.log_vars)
     np.testing.assert_array_equal(mx2.logits, mx.logits)
     # the network itself still trains on the error loss
-    assert not np.array_equal(flat_weights(net2), flat_weights(net))
+    assert not np.array_equal(net2.weights, net.weights)
     assert all(r.complexity_loss == 0.0 for r in trace)
 
 
@@ -232,7 +233,7 @@ def test_tau_scales_the_hyper_prior_terms_too():
     for got, want in ((mx2.means, mx.means), (mx2.log_vars, mx.log_vars),
                       (mx2.logits, mx.logits)):
         assert got.tobytes() == want.tobytes()
-    assert not np.array_equal(flat_weights(net2), flat_weights(net))
+    assert not np.array_equal(net2.weights, net.weights)
 
 
 def test_variance_floor_is_enforced():
@@ -277,14 +278,14 @@ def test_subsampled_training_runs():
     net, mx, data = _tiny_problem(tau=1e-3)
     cfg = ExperimentConfig(retrain_epochs=2, batch_size=16, subsample=7, seed=3)
     net2, mx2, trace = retrain(net, mx, data, cfg)
-    assert np.all(np.isfinite(flat_weights(net2)))
+    assert np.all(np.isfinite(net2.weights))
     assert np.all(np.isfinite(mx2.log_vars))
     # a subsample at least as large as the weight count means exact gradients
     cfg_big = ExperimentConfig(retrain_epochs=1, batch_size=16, subsample=10**9, seed=3)
     cfg_exact = ExperimentConfig(retrain_epochs=1, batch_size=16, subsample=0, seed=3)
     n3, m3, _ = retrain(net, mx, data, cfg_big)
     n4, m4, _ = retrain(net, mx, data, cfg_exact)
-    np.testing.assert_array_equal(flat_weights(n3), flat_weights(n4))
+    np.testing.assert_array_equal(n3.weights, n4.weights)
     np.testing.assert_array_equal(m3.log_vars, m4.log_vars)
 
 
@@ -342,5 +343,5 @@ def test_zero_epochs_returns_copies_with_empty_trace():
     net, mx, data = _tiny_problem()
     net2, mx2, trace = retrain(net, mx, data, ExperimentConfig(retrain_epochs=0))
     assert trace == []
-    np.testing.assert_array_equal(flat_weights(net2), flat_weights(net))
+    np.testing.assert_array_equal(net2.weights, net.weights)
     np.testing.assert_array_equal(mx2.means, mx.means)
