@@ -121,10 +121,12 @@ def test_adam_step_allocates_no_weight_sized_temporaries():
     assert peak < 1_000_000
 
 
-def test_one_adam_step_over_the_packed_weights_equals_per_array_steps():
+@pytest.mark.parametrize("with_extra", [False, True])
+def test_step_layers_is_one_adam_step_per_array(with_extra):
     # training steps net.weights and net.biases with one Adam state each;
     # the artifacts stay those of one state per layer array because Adam is
-    # elementwise, whatever its block boundaries
+    # elementwise, whatever its block boundaries. with_extra adds a prior
+    # gradient into the flat error gradient in place, as retrain does.
     rng = np.random.default_rng(5)
     net = make_network((784, 300, 100, 10), seed=1)
     ref = [(l.weights.copy(), l.biases.copy()) for l in net.layers]
@@ -134,10 +136,13 @@ def test_one_adam_step_over_the_packed_weights_equals_per_array_steps():
     for lr_scale in (1.0, 0.5, 1.0):
         d_weights = rng.normal(size=net.weights.shape)
         d_biases = rng.normal(size=net.biases.shape)
+        extra = rng.normal(size=net.weights.shape) if with_extra else 0.0
+        # the reference sum is a new array: the in-place add below overwrites d_weights
+        ref_dws = split_like_weights(net, d_weights + extra)
+        d_weights += extra
         adam_w.step(net.weights, d_weights, lr_scale)
         adam_b.step(net.biases, d_biases, lr_scale)
-        for (w, b), (aw, ab), dw, db in zip(ref, ref_adams,
-                                            split_like_weights(net, d_weights),
+        for (w, b), (aw, ab), dw, db in zip(ref, ref_adams, ref_dws,
                                             np.split(d_biases, [300, 400])):
             aw.step(w, dw, lr_scale)
             ab.step(b, db, lr_scale)
