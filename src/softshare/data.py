@@ -50,6 +50,11 @@ MNIST_SIDE = 28
 # Images per block of synthetic_digits: its float64 working memory is that of
 # a few blocks of this size, whatever the size of the corpus.
 SYNTHETIC_BLOCK = 256
+# The synthetic corpus: classes, bumps in the shared dictionary, and the
+# standard deviation of the per-pixel noise; its images are MNIST_SIDE wide.
+SYNTHETIC_CLASSES = 10
+SYNTHETIC_BUMPS = 16
+PIXEL_NOISE = 0.10
 
 
 @dataclass
@@ -186,9 +191,7 @@ def _bump_dictionary(rng: np.random.Generator, side: int, margin: int,
 
 
 def synthetic_digits(n_train: int = 8000, n_test: int = 2000, seed: int = 0,
-                     noise: float = 0.055, side: int = 28,
-                     n_classes: int = 10, n_bumps: int = 16,
-                     pixel_noise: float = 0.10) -> MnistDataset:
+                     noise: float = 0.055) -> MnistDataset:
     """Deterministic image-classification corpus with MNIST geometry.
 
     noise is the per-sample coefficient noise; it sets the irreducible
@@ -204,6 +207,7 @@ def synthetic_digits(n_train: int = 8000, n_test: int = 2000, seed: int = 0,
     continue one stream, the same numbers as one call over all images.
     """
     rng = np.random.default_rng(seed)
+    side, n_classes, n_bumps = MNIST_SIDE, SYNTHETIC_CLASSES, SYNTHETIC_BUMPS
     margin = 3
     bumps = _bump_dictionary(rng, side, margin, n_bumps)
     rolled = {(dy, dx): np.roll(bumps, (dy, dx), axis=(1, 2))
@@ -221,7 +225,7 @@ def synthetic_digits(n_train: int = 8000, n_test: int = 2000, seed: int = 0,
             stop = min(start + SYNTHETIC_BLOCK, n)
             # the pixel noise first, then each shift group's sum of bumps
             # added into it: one float64 block, and addition commutes
-            block = rng.normal(0.0, pixel_noise, size=(stop - start, side, side))
+            block = rng.normal(0.0, PIXEL_NOISE, size=(stop - start, side, side))
             for (dy, dx), dictionary in rolled.items():
                 group = np.flatnonzero((shifts[start:stop, 0] == dy)
                                        & (shifts[start:stop, 1] == dx))

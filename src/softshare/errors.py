@@ -26,12 +26,13 @@ class NumericError(SoftShareError):
 
 
 class DivergenceError(NumericError):
-    """Training diverged; carries the last finite network and mixture.
+    """Training diverged; carries the training state at the failure.
 
     Attributes:
-        network: deep copy of the model at the end of the last finite epoch.
-        mixture: matching mixture state.
-        trace: epoch trace rows collected up to the failure.
+        network: the network being trained, as it stands after the epoch
+            whose loss was non-finite (not a copy).
+        mixture: the mixture being trained, at the same point.
+        trace: the epoch trace rows, the failing epoch's row last.
     """
 
     def __init__(self, message, network=None, mixture=None, trace=None):

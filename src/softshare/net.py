@@ -65,6 +65,17 @@ class Layer:
         return self.weights.shape[1]
 
 
+def check_activations(activations) -> None:
+    """Raise ConfigurationError unless the hidden layers use relu and the
+    final layer softmax, the one stack error_loss_and_grad differentiates."""
+    if not activations:
+        raise ConfigurationError("network needs at least one layer")
+    if activations[-1] != "softmax":
+        raise ConfigurationError("final layer must use softmax")
+    if any(a != "relu" for a in activations[:-1]):
+        raise ConfigurationError("hidden layers must use relu")
+
+
 @dataclass
 class Network:
     """Layers whose parameters live in two flat float64 vectors.
@@ -81,15 +92,12 @@ class Network:
     biases: np.ndarray = field(init=False, repr=False)   # (total out units,)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ConfigurationError("network needs at least one layer")
+        check_activations([l.activation for l in self.layers])
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.in_dim != prev.out_dim:
                 raise ConfigurationError(
                     f"layer dimensions do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
-        if self.layers[-1].activation != "softmax":
-            raise ConfigurationError("final layer must use softmax")
         self.weights = np.empty(sum(l.weights.size for l in self.layers))
         self.biases = np.empty(sum(l.out_dim for l in self.layers))
         for layer, w, b in zip(self.layers, split_like_weights(self, self.weights),

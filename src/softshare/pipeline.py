@@ -126,14 +126,13 @@ def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
     mixture = init_mixture(net.weights, cfg.n_components, cfg.pi0,
                            cfg.weight_decay, tau=cfg.tau,
                            pi0_trainable=cfg.pi0_trainable)
-    hyper = cfg.hyper_config()
     net, mixture, trace = retrain(
-        net, mixture, data.train, cfg, hyper, data.test,
+        net, mixture, data.train, cfg, data.test,
         on_epoch=lambda r: emit(
             f"retrain epoch {r.epoch}: error loss {r.error_loss:.4f} "
             f"complexity {r.complexity_loss:.1f} test error {r.test_error:.4f}"))
     out = Path(cfg.output_dir)
-    save_checkpoint(net, out / "model.swsc", mixture, hyper)
+    save_checkpoint(net, out / "model.swsc", mixture, cfg.hyper_config())
     write_file(out / "trace.csv", trace_to_csv(trace).encode())
     merged = merge_pass(mixture, cfg.kl_threshold, cfg.max_passes)
     emit(f"components after merging: {merged.n_components}")

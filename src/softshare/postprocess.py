@@ -28,7 +28,7 @@ import numpy as np
 from .checkpoint import _Cursor, write_file
 from .errors import ConfigurationError, DataFormatError
 from .mixture import MixtureModel, prior_pass
-from .net import ACTIVATIONS, Layer, Network, split_like_weights
+from .net import ACTIVATIONS, Layer, Network, check_activations, split_like_weights
 
 ZERO_SNAP_TOL = 1e-4
 
@@ -64,6 +64,7 @@ class QuantizedNetwork:
             raise ConfigurationError("mean table must be a non-empty vector")
         if self.means[0] != 0.0:
             raise ConfigurationError("mean table slot 0 must be exactly 0")
+        check_activations([ql.activation for ql in self.layers])
         k = self.means.shape[0]
         for ql in self.layers:
             if ql.assignments.min(initial=0) < 0 or ql.assignments.max(initial=0) >= k:
@@ -221,7 +222,8 @@ def save_quantized(q: QuantizedNetwork, path) -> None:
 
 def load_quantized(path) -> QuantizedNetwork:
     """Read an SWSQ file. A file whose fields fail the QuantizedNetwork
-    checks (mean table, assignment range) raises DataFormatError."""
+    checks (mean table, activations, assignment range) raises
+    DataFormatError."""
     with open(path, "rb") as f:
         cur = _Cursor(f.read(), str(path))
     try:

@@ -21,8 +21,8 @@ pi_0 is fixed) receive exactly-zero gradients; Adam leaves them bit-identical.
 
 A divergence guard watches the complexity loss between epochs: a blow-up
 beyond 10x its magnitude halves the three mixture learning rates once for
-the rest of the run. Non-finite losses abort with the last finite state
-attached to the exception.
+the rest of the run. A non-finite loss aborts with DivergenceError, which
+carries the network, the mixture and the trace as that epoch left them.
 """
 
 from __future__ import annotations
@@ -157,23 +157,24 @@ def complexity_loss(net: Network, mixture: MixtureModel,
 
 
 def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
-            cfg: ExperimentConfig, hyper: Optional[HyperPriorConfig] = None,
-            test_data: Optional[Batch] = None,
+            cfg: ExperimentConfig, test_data: Optional[Batch] = None,
             on_epoch: Optional[Callable[[TraceRow], None]] = None,
             ) -> tuple[Network, MixtureModel, list[TraceRow]]:
     """Joint retraining of the network and its mixture prior.
 
     Reads the retraining keys of cfg (retrain_epochs, batch_size, the four
-    lr_* rates, subsample, seed); tau comes from the mixture, which carries
-    it into the SWSC checkpoint. Mutates nothing: returns fresh (network,
-    mixture, trace). With tau = 0 and no hyper-priors enabled the prior is
-    never evaluated and the mixture is returned bit-identical.
+    lr_* rates, subsample, seed) and its hyper-prior keys (hyper_config);
+    tau comes from the mixture, which carries it into the SWSC checkpoint.
+    Mutates nothing: returns fresh (network, mixture, trace). With tau = 0
+    and no hyper-priors enabled the prior is never evaluated and the
+    mixture is returned bit-identical.
     """
     net = net.copy()
     mixture = mixture.copy()
     rng = np.random.default_rng(cfg.seed)
+    hyper = cfg.hyper_config()
     tau = mixture.tau
-    use_prior = tau != 0.0 or (hyper is not None and hyper.any_enabled)
+    use_prior = tau != 0.0 or hyper is not None
 
     adam_weights = AdamState(net.weights.shape, cfg.lr_weights)
     adam_biases = AdamState(net.biases.shape, cfg.lr_weights)

@@ -1,31 +1,42 @@
-"""The micro-benchmark scripts under benchmarks/ run and write their results."""
+"""benchmarks/bench_kernels.py runs and writes its kernel timings."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "benchmarks" / "bench_kernels.py"
+
+KERNELS = ({f"{call}_{state}" for call in ("prior_grads", "log_prior", "quantize")
+            for state in ("early", "mid", "late")}
+           | {"encode_network", "decode_network", "huffman_decode", "synthetic_digits",
+              "error_loss_and_grad_b128", "error_loss_and_grad_b256",
+              "adam_steps", "evaluate_2000"})
 
 
-@pytest.mark.parametrize("script, kernels", [
-    ("bench_mixture.py", {f"{call}_{state}" for call in ("prior_grads", "log_prior", "quantize")
-                          for state in ("early", "mid", "late")}),
-    ("bench_codec.py", {"encode_network", "decode_network", "huffman_decode"}),
-    ("bench_data.py", {"synthetic_digits"}),
-    ("bench_train.py", {"error_loss_and_grad_b128", "error_loss_and_grad_b256",
-                        "adam_steps", "evaluate_2000"}),
-])
-def test_benchmark_script_writes_its_kernel_timings(script, kernels, tmp_path):
+def _run(tmp_path, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True,
+        cwd=tmp_path, timeout=300, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+
+
+def test_bench_kernels_writes_every_kernel_timing(tmp_path):
     out = tmp_path / "result.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / script), "--out", str(out)],
-        capture_output=True, text=True, cwd=tmp_path, timeout=300,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
-    )
+    proc = _run(tmp_path, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
-    assert set(result["kernels"]) == kernels
-    assert all(t["median_ms"] > 0 for t in result["kernels"].values())
+    assert set(result["kernels"]) == KERNELS
+    for t in result["kernels"].values():
+        assert t["median_ms"] > 0
+        assert t["faults_per_call"] >= 0
+    assert set(result["memory"]) == {"synthetic_digits", "evaluate_2000"}
+    assert all(m["traced_peak_mib"] > 0 for m in result["memory"].values())
+    assert result["environment"]["threads"].keys() >= {"OPENBLAS_NUM_THREADS"}
+
+
+def test_bench_kernels_needs_an_output_file(tmp_path):
+    proc = _run(tmp_path)
+    assert proc.returncode == 2
+    assert "--out" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

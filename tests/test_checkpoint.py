@@ -125,13 +125,14 @@ def _mixture_block(means=(0.0, 0.5), pi0=0.9, hflags=0, pairs=(0.0,) * 6):
 
 @pytest.mark.parametrize("blob, match", [
     (_swsc([(3, 4, 0)]), "final layer must use softmax"),
+    (_swsc([(4, 3, 1), (2, 4, 1)]), "hidden layers must use relu"),
     (_swsc([]), "at least one layer"),
     (_swsc([(3, 4, 0), (2, 5, 1)]), "do not chain"),
     (_swsc([(2, 4, 1)], _mixture_block(means=(0.25, 0.5))), "zero-spike mean"),
     (_swsc([(2, 4, 1)], _mixture_block(pi0=1.5)), "pi0 must lie"),
     (_swsc([(2, 4, 1)], _mixture_block(hflags=1, pairs=(0.5, 1.0, 0, 0, 0, 0))),
      "gamma_zero needs"),
-], ids=["relu_head", "no_layers", "unchained", "spike_mean", "pi0", "hyper"])
+], ids=["relu_head", "softmax_hidden", "no_layers", "unchained", "spike_mean", "pi0", "hyper"])
 def test_load_rejects_well_formed_files_that_fail_validation(tmp_path, blob, match):
     path = tmp_path / "odd.swsc"
     path.write_bytes(blob)

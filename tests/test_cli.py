@@ -12,7 +12,7 @@ from softshare.config import load_config
 from softshare.errors import NumericError
 from softshare.net import evaluate
 from softshare.pipeline import load_dataset
-from softshare.postprocess import QuantizedNetwork, load_quantized
+from softshare.postprocess import QuantizedLayer, QuantizedNetwork, load_quantized
 
 
 def _cfg_args(tiny_config_file, *extra):
@@ -200,7 +200,10 @@ def test_eval_blob_of_another_layer_count_exits_3(tiny_config_file, tmp_path, ca
     out = tmp_path / "out"
     q = load_quantized(out / "quantized.bin")
     assert len(q.layers) >= 2
-    one_layer_blob, _ = encode_network(QuantizedNetwork([q.layers[0]], q.means))
+    first = q.layers[0]
+    one_layer = QuantizedNetwork(
+        [QuantizedLayer(first.assignments, first.biases, "softmax")], q.means)
+    one_layer_blob, _ = encode_network(one_layer)
     (out / "weights.swsb").write_bytes(one_layer_blob)
     capsys.readouterr()
     assert main(["eval", *_cfg_args(tiny_config_file), "--what", "blob"]) == 3
@@ -215,6 +218,27 @@ def test_eval_of_a_checkpoint_that_fails_validation_exits_3(tiny_config_file, tm
     save_checkpoint(net, path)
     capsys.readouterr()
     assert main(["eval", *_cfg_args(tiny_config_file), "--what", "pretrained"]) == 3
+    assert "final layer must use softmax" in capsys.readouterr().err
+
+
+def test_eval_blob_of_a_quantized_model_with_a_relu_head_exits_3(
+        tiny_config_file, tmp_path, capsys):
+    for stage in ("pretrain", "compress", "encode"):
+        assert main([stage, *_cfg_args(tiny_config_file), "--quiet"]) == 0
+    path = tmp_path / "out" / "quantized.bin"
+    q = load_quantized(path)
+    # SWSQ: 10 header bytes and the mean table, then per layer rows u32,
+    # cols u32, activation tag u8, index width u8, assignments, biases
+    pos = 10 + 8 * q.means.size
+    for ql in q.layers[:-1]:
+        rows, cols = ql.assignments.shape
+        pos += 10 + rows * cols + 8 * rows   # one-byte indices: k <= 256
+    blob = bytearray(path.read_bytes())
+    assert blob[pos + 8] == 1 and blob[pos + 9] == 1   # softmax tag, width 1
+    blob[pos + 8] = 0                                  # relu
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", *_cfg_args(tiny_config_file), "--what", "blob"]) == 3
     assert "final layer must use softmax" in capsys.readouterr().err
 
 

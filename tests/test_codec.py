@@ -375,13 +375,15 @@ def _reference_net(seed=2017):
     for (n_in, n_out), density in zip(zip(sizes, sizes[1:]), (0.11, 0.27, 0.60)):
         a = 1 + rng.choice(14, size=(n_out, n_in), p=usage / usage.sum())
         a[rng.random((n_out, n_in)) >= density] = 0
-        layers.append(QuantizedLayer(a, np.zeros(n_out), "relu"))
+        layers.append(QuantizedLayer(a, np.zeros(n_out), "softmax" if n_out == 10 else "relu"))
     return QuantizedNetwork(layers, means)
 
 
 def _net_of(*assignments):
+    acts = ["relu"] * (len(assignments) - 1) + ["softmax"]
     return QuantizedNetwork(
-        [QuantizedLayer(np.array(a), np.zeros(len(a)), "relu") for a in assignments],
+        [QuantizedLayer(np.array(a), np.zeros(len(a)), act)
+         for a, act in zip(assignments, acts)],
         np.array([0.0, -0.5, 0.25, 1.5]))
 
 

@@ -332,7 +332,7 @@ def _direct_prior_pass(w, m):
 
 
 def _network_state(state, trainable):
-    """benchmarks/bench_mixture.py's three mixture states on its seeded network.
+    """benchmarks/bench_kernels.py's three mixture states on its seeded network.
 
     early: the init mixture over the 784-300-100-10 network (seed 0).
     mid, late: that mixture's means at variances 5e-6 and 1e-6, with 87% of

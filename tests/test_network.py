@@ -220,6 +220,13 @@ def test_network_validators():
         ])
 
 
+def test_network_rejects_a_hidden_softmax_layer():
+    # error_loss_and_grad masks every hidden layer's gradient as relu's
+    with pytest.raises(ConfigurationError, match="hidden layers must use relu"):
+        Network([Layer(np.zeros((4, 3)), np.zeros(4), "softmax"),
+                 Layer(np.zeros((2, 4)), np.zeros(2), "softmax")])
+
+
 def test_iter_batches_covers_everything_once():
     inputs = np.arange(10, dtype=float).reshape(10, 1)
     labels = np.arange(10) % 3

@@ -131,9 +131,12 @@ def test_evaluate_blob_rejects_layer_count_mismatch(tiny_config):
     out = Path(cfg.output_dir)
     data = load_dataset(cfg)
     from softshare.codec import encode_network
-    from softshare.postprocess import QuantizedNetwork
+    from softshare.postprocess import QuantizedLayer, QuantizedNetwork
     q = load_quantized(out / "quantized.bin")
-    one_layer_blob, _ = encode_network(QuantizedNetwork([q.layers[0]], q.means))
+    first = q.layers[0]
+    one_layer = QuantizedNetwork(
+        [QuantizedLayer(first.assignments, first.biases, "softmax")], q.means)
+    one_layer_blob, _ = encode_network(one_layer)
     with pytest.raises(SoftShareError, match="layer count"):
         evaluate_blob(one_layer_blob, q, data.test)
 

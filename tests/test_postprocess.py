@@ -276,7 +276,7 @@ def test_save_uses_wide_indices_for_big_tables(tmp_path):
     k = 300
     means = np.concatenate([[0.0], np.linspace(-1, 1, k - 1)])
     a = np.arange(k, dtype=np.int64).reshape(10, 30) % k
-    q = QuantizedNetwork([QuantizedLayer(a, np.zeros(10), "relu")], means)
+    q = QuantizedNetwork([QuantizedLayer(a, np.zeros(10), "softmax")], means)
     path = tmp_path / "wide.swsq"
     save_quantized(q, path)
     q2 = load_quantized(path)

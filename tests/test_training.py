@@ -231,10 +231,11 @@ def test_fixed_quantities_stay_bit_identical():
 def test_tau_scales_the_hyper_prior_terms_too():
     # a strong Gamma pin would move the variances if it acted unscaled;
     # with tau = 0 the whole log joint, hyper terms included, weighs nothing
-    hyper = HyperPriorConfig(gamma_zero=(50.0, 1.0), gamma_rest=(20.0, 1.0))
+    cfg = ExperimentConfig(retrain_epochs=2, batch_size=16,
+                           gamma_zero_alpha=50.0, gamma_zero_beta=1.0,
+                           gamma_rest_alpha=20.0, gamma_rest_beta=1.0)
     net, mx, data = _tiny_problem(tau=0.0)
-    net2, mx2, _ = retrain(net, mx, data,
-                           ExperimentConfig(retrain_epochs=2, batch_size=16), hyper)
+    net2, mx2, _ = retrain(net, mx, data, cfg)
     for got, want in ((mx2.means, mx.means), (mx2.log_vars, mx.log_vars),
                       (mx2.logits, mx.logits)):
         assert got.tobytes() == want.tobytes()
@@ -244,10 +245,11 @@ def test_tau_scales_the_hyper_prior_terms_too():
 def test_variance_floor_is_enforced():
     # a brutal precision pin far above the floor's reciprocal drives the
     # variances down; the per-step clamp must stop them at the floor
-    hyper = HyperPriorConfig(gamma_zero=(1e12, 1.0), gamma_rest=(1e12, 1.0))
     net, mx, data = _tiny_problem(tau=1e-3)
-    cfg = ExperimentConfig(retrain_epochs=3, batch_size=16, lr_log_vars=5.0)
-    _, mx2, _ = retrain(net, mx, data, cfg, hyper)
+    cfg = ExperimentConfig(retrain_epochs=3, batch_size=16, lr_log_vars=5.0,
+                           gamma_zero_alpha=1e12, gamma_zero_beta=1.0,
+                           gamma_rest_alpha=1e12, gamma_rest_beta=1.0)
+    _, mx2, _ = retrain(net, mx, data, cfg)
     assert np.all(mx2.log_vars >= math.log(VARIANCE_FLOOR) - 1e-12)
     assert np.any(mx2.log_vars <= math.log(VARIANCE_FLOOR) + 1e-6)
 
