@@ -3,9 +3,10 @@
 A config file holds `key = value` lines ('#' comments allowed); the same
 keys can be overridden on the command line. Keys are grouped below by the
 stage they feed; every stage reads its keys from ExperimentConfig itself.
-Each key is checked once, when the config is built, and an error names
-the key. Hyper-prior (alpha, beta) pairs use alpha = 0 to mean "disabled"
-so the default run matches the plain mixture objective.
+Each key is checked once, when the config is built (every float key must
+be finite), and an error names the key. Hyper-prior (alpha, beta) pairs use
+alpha = 0 to mean "disabled" so the default run matches the plain mixture
+objective.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _parse_sizes(s: str) -> tuple:
 @dataclass
 class ExperimentConfig:
     # data and artifacts
-    dataset: str = "synthetic"          # synthetic | mnist | idx
+    dataset: str = "synthetic"          # synthetic | mnist
     data_dir: str = ""
     output_dir: str = "out"
     seed: int = 0
@@ -50,7 +51,6 @@ class ExperimentConfig:
     # synthetic corpus
     synthetic_train: int = 8000
     synthetic_test: int = 2000
-    synthetic_noise: float = 0.055
 
     # pretraining
     pretrain_epochs: int = 30
@@ -83,17 +83,19 @@ class ExperimentConfig:
 
     # component merging
     kl_threshold: float = 1e-2
-    max_passes: int = 100
 
     # sparse codec index widths
     p_fc: int = 5
     p_conv: int = 8
 
     def __post_init__(self):
-        if self.dataset not in ("synthetic", "mnist", "idx"):
+        if self.dataset not in ("synthetic", "mnist"):
             raise ConfigurationError(f"unknown dataset kind {self.dataset!r}")
-        if self.dataset in ("mnist", "idx") and not self.data_dir:
-            raise ConfigurationError(f"dataset {self.dataset!r} needs data_dir")
+        if self.dataset == "mnist" and not self.data_dir:
+            raise ConfigurationError("dataset 'mnist' needs data_dir")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite")
         if not all(n >= 1 for n in self.layer_sizes):
             raise ConfigurationError(
                 f"layer_sizes must all be >= 1, got {self.layer_sizes}")
@@ -104,7 +106,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{key}: index bit widths must lie in [1, 16]")
         # "not x >= 0" and "not x > 0", so that NaN fails too
         for key in ("seed", "pretrain_epochs", "retrain_epochs", "subsample",
-                    "max_passes", "weight_decay", "tau"):
+                    "weight_decay", "tau", "kl_threshold"):
             if not getattr(self, key) >= 0:
                 raise ConfigurationError(f"{key} must be >= 0")
         for key in ("synthetic_train", "synthetic_test", "pretrain_batch_size",
@@ -115,9 +117,6 @@ class ExperimentConfig:
                     "lr_logits"):
             if not getattr(self, key) > 0:
                 raise ConfigurationError(f"{key} must be positive")
-        for key in ("synthetic_noise", "kl_threshold"):
-            if not math.isfinite(getattr(self, key)) or getattr(self, key) < 0:
-                raise ConfigurationError(f"{key} must be finite and >= 0")
         self.hyper_config()     # fail now, not after a stage ran
 
     def hyper_config(self):

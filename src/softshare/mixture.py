@@ -52,8 +52,8 @@ max_j -q_ij and shifts only if one of its weights is beyond reach.
 
 Each caller stops once it has what it reads:
 
-* quantize (assign only) stops at -q. Its assignment is the argmax over j
-  of log c_j - q_ij, ties to the lower index: no exp and no product.
+* quantize's assignment stops at -q. It is the argmax over j of
+  log c_j - q_ij, ties to the lower index: no exp and no product.
 * Every other call takes E = exp(E) and norm = (c / c_max) @ E.
 * log_prior alone takes the logs: log p(w_i) = log norm_i + log c_max,
   plus max_j -q_ij where the chunk was shifted.
@@ -68,6 +68,8 @@ Each caller stops once it has what it reads:
 
 A NaN or infinite weight makes norm_i non-finite (for quantize,
 max_j log c_j - q_ij), and the call raises NumericError naming its flat index.
+A mixture whose largest log c_j is not finite (a NaN log-variance, or one of
+-inf) raises NumericError before the pass starts.
 
 Numerical range: after the exp every E_ij lies in [0, 1], and norm_i >= tiny
 at every finite weight, shifted or not. So every kept c_j / c_max must be at
@@ -336,6 +338,9 @@ def _component_terms(m: MixtureModel) -> _Components:
     with np.errstate(divide="ignore"):  # log 0 for a component whose pi_j underflowed
         log_c = np.log(m.mixing_proportions()) - 0.5 * (m.log_vars + LOG_2PI)
     log_c_max = float(log_c.max())
+    if not math.isfinite(log_c_max):
+        raise NumericError(f"mixture log c_max is {log_c_max}: a log-variance "
+                           "or mixing proportion is not finite")
     c = np.exp(log_c - log_c_max)
     tiny = np.finfo(np.float64).tiny
     live = np.flatnonzero(c >= tiny)
@@ -407,19 +412,20 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
     """The one chunked pass over the weights (see the module docstring).
 
     Returns (log p(w) or None, PriorGrads or None, assignments or None).
-    Each call computes only what it is asked for: log p(w) when neither
-    grads nor assign is set, the mixture gradients (no hyper-prior terms)
-    when grads is, and each weight's argmax-responsibility component, ties
-    to the lower index, when assign is.
+    Each call computes one of them: log p(w) when neither grads nor assign
+    is set, the mixture gradients (no hyper-prior terms) when grads is, and
+    each weight's argmax-responsibility component, ties to the lower index,
+    when assign is. Setting both raises ConfigurationError.
     """
+    if grads and assign:
+        raise ConfigurationError("prior_pass takes grads or assign, not both")
     w = np.asarray(w, dtype=np.float64).ravel()
     total, k = w.shape[0], m.n_components
     comp = _component_terms(m)
     kept = comp.live.shape[0]
     width = min(CHUNK, total)
     E_buf = np.empty(kept * width)
-    density = grads or not assign  # whether E goes on past -q to the exp
-    near = density and total > 0 and _within_reach(w, comp)
+    near = not assign and total > 0 and _within_reach(w, comp)
     log_p = 0.0
     assignments = np.empty(total, dtype=np.int64) if assign else None
     if grads:
@@ -437,11 +443,9 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
         E = E_buf[:kept * n].reshape(kept, n)
         _neg_q(x, comp, E)
         if assign:
-            # an assignment-only call reads E no further, so it adds in place
-            scores = np.add(E, comp.log_c, out=None if density else E)
-            _assign(scores, comp, assignments[start:start + n], start)
-            if not density:
-                continue
+            E += comp.log_c
+            _assign(E, comp, assignments[start:start + n], start)
+            continue
         norm, shift = _chunk_density(E, comp, start, near)
         if not grads:
             per_weight = np.log(norm)
@@ -474,7 +478,7 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
         d_logits[:] = s0 - total * m.mixing_proportions()
     else:
         d_logits[1:] = s0[1:] - _softmax(m.logits[1:]) * (total - s0[0])
-    return None, PriorGrads(d_weights, d_means, d_log_vars, d_logits), assignments
+    return None, PriorGrads(d_weights, d_means, d_log_vars, d_logits), None
 
 
 def log_prior(w, m: MixtureModel) -> float:

@@ -18,8 +18,7 @@ at ``pretrained_checkpoint``):
     report.json       compression accounting plus before/after test error
 
 Every stage reads the one ExperimentConfig: pretraining its pretrain_*
-keys, retraining its retraining keys, merging kl_threshold and max_passes,
-encoding p_fc.
+keys, retraining its retraining keys, merging kl_threshold, encoding p_fc.
 
 run_pipeline loads the data once, pretrains unless pretrained_checkpoint
 names a baseline, then compresses and encodes; stage_compress refuses a
@@ -64,11 +63,8 @@ class PipelineResult:
 
 def load_dataset(cfg: ExperimentConfig) -> MnistDataset:
     if cfg.dataset == "synthetic":
-        return synthetic_digits(cfg.synthetic_train, cfg.synthetic_test,
-                                seed=cfg.seed, noise=cfg.synthetic_noise)
-    if cfg.dataset == "mnist":
-        return load_mnist(cfg.data_dir)
-    return load_mnist(cfg.data_dir, expected_counts=None)
+        return synthetic_digits(cfg.synthetic_train, cfg.synthetic_test, seed=cfg.seed)
+    return load_mnist(cfg.data_dir)
 
 
 def pretrain_network(cfg: ExperimentConfig, data: MnistDataset,
@@ -134,7 +130,7 @@ def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
     out = Path(cfg.output_dir)
     save_checkpoint(net, out / "model.swsc", mixture, cfg.hyper_config())
     write_file(out / "trace.csv", trace_to_csv(trace).encode())
-    merged = merge_pass(mixture, cfg.kl_threshold, cfg.max_passes)
+    merged = merge_pass(mixture, cfg.kl_threshold)
     emit(f"components after merging: {merged.n_components}")
     q = quantize(net, merged)
     save_quantized(q, out / "quantized.bin")

@@ -169,17 +169,15 @@ def _best_merge_pair(m: MixtureModel, threshold: float):
     return best
 
 
-def merge_pass(m: MixtureModel, kl_threshold: float,
-               max_passes: int) -> MixtureModel:
+def merge_pass(m: MixtureModel, kl_threshold: float) -> MixtureModel:
     """Repeatedly merge the closest pair while its symmetrized KL is below
     kl_threshold.
 
-    KL distances are recomputed after every merge; at most max_passes
-    merges happen. threshold 0 never merges (strict comparison).
+    KL distances are recomputed after every merge. Each merge removes one
+    component and merging stops at two, so J+1 components merge at most
+    J-1 times. threshold 0 never merges (strict comparison).
     """
-    for _ in range(max_passes):
-        if m.n_components <= 2:
-            break
+    while m.n_components > 2:
         best = _best_merge_pair(m, kl_threshold)
         if best is None:
             break
@@ -191,6 +189,7 @@ def quantize(net: Network, m: MixtureModel) -> QuantizedNetwork:
     """Snap each weight to the mean of its argmax-responsibility component.
 
     Ties go to the lower component index, preferring the zero spike.
+    Each layer's assignments are a view of the one assignment vector.
     Biases pass through untouched. A NaN or infinite weight raises
     NumericError naming its flat index.
     """
@@ -198,7 +197,7 @@ def quantize(net: Network, m: MixtureModel) -> QuantizedNetwork:
     means = m.means.copy()
     means[0] = 0.0
     layers = [
-        QuantizedLayer(a.copy(), layer.biases.copy(), layer.activation)
+        QuantizedLayer(a, layer.biases.copy(), layer.activation)
         for a, layer in zip(per_layer, net.layers)
     ]
     return QuantizedNetwork(layers, means)

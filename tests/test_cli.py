@@ -103,7 +103,7 @@ def test_configuration_errors_exit_2(tiny_config_file, tmp_path, capsys):
     for key, value in (("pretrain_batch_size", "0"), ("retrain_epochs", "-1"),
                        ("layer_sizes", "784,0,10"), ("seed", "-1"),
                        ("synthetic_train", "0"), ("synthetic_test", "-5"),
-                       ("synthetic_noise", "-1"), ("synthetic_noise", "nan")):
+                       ("weight_decay", "inf"), ("gamma_zero_alpha", "inf")):
         assert main(["run", *_cfg_args(tiny_config_file), "--quiet",
                      "--set", f"{key}={value}"]) == 2
         assert key in capsys.readouterr().err
@@ -172,7 +172,7 @@ def test_data_errors_exit_3(tiny_config_file, tmp_path, capsys):
 
     (tmp_path / "data").mkdir()
     assert main(["pretrain", *_cfg_args(tiny_config_file), "--quiet",
-                 "--set", "dataset=idx",
+                 "--set", "dataset=mnist",
                  "--set", f"data_dir={tmp_path / 'data'}"]) == 3
     assert "data error" in capsys.readouterr().err
 
@@ -186,6 +186,16 @@ def test_numeric_errors_exit_4(tiny_config_file, monkeypatch, capsys):
 
     monkeypatch.setattr(pipeline_mod, "retrain", blow_up)
     assert main(["compress", *_cfg_args(tiny_config_file), "--quiet"]) == 4
+    assert "numeric error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_mixture_exits_4(tiny_config_file, capsys):
+    # a Gamma pin this strong overflows Adam's second moment, and the
+    # spike's log-variance turns NaN
+    assert main(["pretrain", *_cfg_args(tiny_config_file), "--quiet"]) == 0
+    assert main(["compress", *_cfg_args(tiny_config_file), "--quiet",
+                 "--set", "gamma_zero_alpha=1e300"]) == 4
     assert "numeric error" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 """Flat key=value experiment configuration."""
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -44,16 +45,23 @@ def test_validation_rejects_bad_combinations():
     ("lr_logits", 0.0), ("lr_logits", float("nan")),
     ("weight_decay", float("nan")), ("tau", -1e-3), ("tau", float("nan")),
     ("kl_threshold", -1.0), ("kl_threshold", float("inf")),
-    ("kl_threshold", float("nan")), ("max_passes", -1),
+    ("kl_threshold", float("nan")), ("pretrain_lr", float("inf")),
     ("gamma_zero_alpha", 0.5), ("gamma_rest_alpha", 1.0), ("beta_pi0_alpha", 1.0),
     ("layer_sizes", (784, 0, 10)), ("layer_sizes", (784, -3, 10)),
     ("seed", -1), ("synthetic_train", 0), ("synthetic_test", -5),
-    ("synthetic_noise", -1.0), ("synthetic_noise", float("nan")),
-    ("synthetic_noise", float("inf")),
-])
+] + [(key, float("inf")) for key in (
+    "weight_decay", "lr_weights", "lr_means", "lr_log_vars",
+    "lr_logits", "tau", "gamma_zero_alpha", "gamma_zero_beta", "gamma_rest_alpha",
+    "gamma_rest_beta", "beta_pi0_alpha", "beta_pi0_beta")])
 def test_every_stage_setting_is_checked_when_the_config_is_built(key, value):
     with pytest.raises(ConfigurationError, match=key):
         ExperimentConfig(**{key: value})
+
+
+@pytest.mark.parametrize("recipe", sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_recipe_loads(recipe):
+    load_config(recipe)
 
 
 def test_parse_assignments_coerces_types():

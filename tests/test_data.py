@@ -206,6 +206,13 @@ def test_load_mnist_rejects_bad_labels(tmp_path):
         load_mnist(tmp_path, expected_counts=None)
 
 
+@pytest.mark.parametrize("n_train, n_test", [(0, 10), (30, 0)])
+def test_load_mnist_rejects_a_set_with_zero_items(tmp_path, n_train, n_test):
+    _write_fake_mnist(tmp_path, n_train=n_train, n_test=n_test)
+    with pytest.raises(DataFormatError, match="no images"):
+        load_mnist(tmp_path, expected_counts=None)
+
+
 def test_synthetic_corpus_shapes_and_ranges():
     ds = synthetic_digits(n_train=64, n_test=16, seed=3)
     assert ds.train.inputs.shape == (64, 784)

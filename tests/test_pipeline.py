@@ -91,7 +91,7 @@ def test_pipeline_is_deterministic_byte_for_byte(tiny_config, tmp_path):
 
 
 def test_stage_failures_carry_the_stage_name(tiny_config, tmp_path):
-    cfg = tiny_config(dataset="idx", data_dir=str(tmp_path / "empty"))
+    cfg = tiny_config(dataset="mnist", data_dir=str(tmp_path / "empty"))
     (tmp_path / "empty").mkdir()
     with pytest.raises(SoftShareError, match="stage load-data:"):
         run_pipeline(cfg)

@@ -140,11 +140,19 @@ def _three_cluster_mixture():
 
 def test_merge_pass_takes_closest_pair_first():
     m = _three_cluster_mixture()
-    out = merge_pass(m, kl_threshold=1.0, max_passes=1)
+    mu, var = m.means, m.variances()
+    sym_kl = {(i, j): kl_gaussian(mu[i], var[i], mu[j], var[j])
+              + kl_gaussian(mu[j], var[j], mu[i], var[i]) for i, j in ((1, 2), (3, 4))}
+    assert sym_kl[1, 2] < sym_kl[3, 4] < 1.0
+    # a threshold at the (3,4) distance stops the pass after its first merge
+    out = merge_pass(m, kl_threshold=sym_kl[3, 4])
     assert out.n_components == 5
     # the (1,2) pair is tighter than (3,4); it must merge first
     assert not np.any(np.isclose(out.means, -0.501))
     assert np.any(np.isclose(out.means, 0.60)) and np.any(np.isclose(out.means, 0.62))
+    first = merge_components(m, 1, 2)
+    for name in ("means", "log_vars", "logits"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(first, name))
 
 
 def test_merge_pass_honors_threshold_and_budget():
@@ -153,16 +161,15 @@ def test_merge_pass_honors_threshold_and_budget():
     same = MixtureModel(np.array([0.0, 1.0, 1.0]),
                         np.log(np.array([1e-4, 1e-3, 1e-3])),
                         np.zeros(3), 0.5)
-    assert merge_pass(same, kl_threshold=0.0, max_passes=100).n_components == 3
-    assert merge_pass(m, kl_threshold=1.0, max_passes=0).n_components == 6
-    full = merge_pass(m, kl_threshold=1.0, max_passes=100)
+    assert merge_pass(same, kl_threshold=0.0).n_components == 3
+    full = merge_pass(m, kl_threshold=1.0)
     assert full.n_components == 4  # both tight pairs collapse, outlier stays
 
 
 def test_merge_pass_never_goes_below_two_components():
     same = MixtureModel(np.array([0.0, 1e-5, 2e-5]),
                         np.log(np.full(3, 1e-4)), np.zeros(3), 0.4)
-    out = merge_pass(same, kl_threshold=100.0, max_passes=50)
+    out = merge_pass(same, kl_threshold=100.0)
     assert out.n_components == 2
 
 

@@ -1,10 +1,13 @@
-"""Hostile input to the artifact readers: truncated and bit-flipped files.
+"""Hostile input to the file readers: truncated and bit-flipped files.
 
 Each reader gets small valid SWSB (with and without the expected shapes),
-SWSC and SWSQ files, cut short or with a few bits flipped. A reader may
-accept the result or raise from the DataFormatError family, nothing else,
-and each call ends within a second.
+SWSC and SWSQ files, and IDX image and label files (plain and gzip), cut
+short or with a few bits flipped. A reader may accept the result or raise
+from the DataFormatError family, nothing else, and each call ends within a
+second.
 """
+import gzip
+import struct
 import tempfile
 import time
 from pathlib import Path
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from softshare.checkpoint import load_checkpoint, save_checkpoint
 from softshare.codec import decode_network, encode_network
+from softshare.data import MNIST_FILES, MNIST_SIDE, load_mnist, read_idx
 from softshare.errors import DataFormatError
 from softshare.mixture import HyperPriorConfig, init_mixture
 from softshare.net import make_network
@@ -52,6 +56,29 @@ def _valid_files():
 
 VALID = _valid_files()
 SHAPES = [(6, 10), (3, 6)]
+
+
+def _idx(a):
+    return struct.pack(f">HBB{a.ndim}I", 0, 0x08, a.ndim, *a.shape) + a.tobytes()
+
+
+def _valid_mnist(counts):
+    """The four IDX files of a small MNIST-layout set, as bytes by key."""
+    rng = np.random.default_rng(0)
+    out = {}
+    for split, n in zip(("train", "test"), counts):
+        out[f"{split}_images"] = _idx(rng.integers(0, 256, (n, MNIST_SIDE, MNIST_SIDE),
+                                                   dtype=np.uint8))
+        out[f"{split}_labels"] = _idx(rng.integers(0, 10, n, dtype=np.uint8))
+    return out
+
+
+IDX_COUNTS = (8, 4)
+VALID_IDX = _valid_mnist(IDX_COUNTS)
+
+
+def _in_form(blob, gz):
+    return gzip.compress(blob, mtime=0) if gz else blob
 
 
 def _corrupted(blob):
@@ -103,3 +130,31 @@ def test_swsq_reader_raises_only_data_format_errors(tmp, data):
     path = tmp / "fuzzed.swsq"
     path.write_bytes(data)
     _accepts_or_rejects_fast(lambda: load_quantized(path))
+
+
+def _corrupted_idx():
+    """(key, gz, bytes): one IDX file of VALID_IDX, plain or gzip, corrupted."""
+    return st.tuples(st.sampled_from(sorted(VALID_IDX)), st.booleans()).flatmap(
+        lambda kg: st.tuples(st.just(kg[0]), st.just(kg[1]),
+                             _corrupted(_in_form(VALID_IDX[kg[0]], kg[1]))))
+
+
+@FUZZ
+@given(case=_corrupted_idx())
+def test_idx_reader_raises_only_data_format_errors(tmp, case):
+    _, gz, data = case
+    path = tmp / ("fuzzed.idx.gz" if gz else "fuzzed.idx")
+    path.write_bytes(data)
+    _accepts_or_rejects_fast(lambda: read_idx(path))
+
+
+@FUZZ
+@given(case=_corrupted_idx(), expected_counts=st.sampled_from([None, IDX_COUNTS]))
+def test_mnist_loader_raises_only_data_format_errors(tmp, case, expected_counts):
+    key, gz, data = case
+    d = tmp / ("mnist_gz" if gz else "mnist")
+    d.mkdir(exist_ok=True)
+    for k, blob in VALID_IDX.items():
+        name = MNIST_FILES[k] + (".gz" if gz else "")
+        (d / name).write_bytes(data if k == key else _in_form(blob, gz))
+    _accepts_or_rejects_fast(lambda: load_mnist(d, expected_counts))
