@@ -28,11 +28,16 @@ class NumericError(SoftShareError):
 class DivergenceError(NumericError):
     """Training diverged; carries the training state at the failure.
 
+    Retraining raises it after an epoch whose loss is non-finite, or at the
+    step whose mixture update leaves a mixture parameter non-finite.
+
     Attributes:
-        network: the network being trained, as it stands after the epoch
-            whose loss was non-finite (not a copy).
+        network: the network being trained, as it stands at the failure
+            (not a copy): after that epoch, or before that step's network
+            update.
         mixture: the mixture being trained, at the same point.
-        trace: the epoch trace rows, the failing epoch's row last.
+        trace: the epoch trace rows so far; after a non-finite loss, the
+            failing epoch's row last.
     """
 
     def __init__(self, message, network=None, mixture=None, trace=None):

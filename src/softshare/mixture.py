@@ -23,13 +23,12 @@ Gradient conventions (ascent direction, i.e. gradients of the log density):
     d log p / d w_i    = sum_j r_ij (mu_j - w_i) / var_j
     d log p / d mu_j   = sum_i r_ij (w_i - mu_j) / var_j
     d log p / d rho_j  = sum_i r_ij ((w_i - mu_j)^2 / var_j - 1) / 2
-    d log p / d l_k    = sum_i (r_ik - pi-term), see prior_pass
+    d log p / d l_k    = sum_i (r_ik - pi-term), see _mixture_grads
 where r_ij is the responsibility of component j for weight i.
 
-One kernel, prior_pass, serves log_prior, prior_grads, subsampled_prior_grads
-and postprocess.quantize. It walks the weights in chunks of CHUNK, each
-laid out component-major in one reused (J+1, chunk) buffer E, so no
-(I, J+1) matrix is built. Per chunk, three elementwise sweeps leave -q in E:
+One walk, _chunks, takes the weights in chunks of CHUNK, each laid out
+component-major in one reused (J+1, chunk) buffer E, so no (I, J+1) matrix
+is built. Per chunk, three elementwise sweeps leave -q in E:
 
     E = w_i - mu_j;  E = E^2;  E *= -1 / (2 var_j)     E_ij = -q_ij
 
@@ -50,15 +49,15 @@ B = min_j max((min w - mu_j)^2, (max w - mu_j)^2) / (2 var_j), and when
 B <= reach no chunk takes the maximum or shifts. Otherwise each chunk takes
 max_j -q_ij and shifts only if one of its weights is beyond reach.
 
-Each caller stops once it has what it reads:
+Three readers walk it, and each stops once it has what it reads:
 
-* quantize's assignment stops at -q. It is the argmax over j of
-  log c_j - q_ij, ties to the lower index: no exp and no product.
-* Every other call takes E = exp(E) and norm = (c / c_max) @ E.
-* log_prior alone takes the logs: log p(w_i) = log norm_i + log c_max,
+* assignments, for postprocess.quantize, stops at -q: the argmax over j
+  of log c_j - q_ij, ties to the lower index, with no exp and no product.
+* The other two take E = exp(E) and norm = (c / c_max) @ E.
+* log_prior then takes the logs: log p(w_i) = log norm_i + log c_max,
   plus max_j -q_ij where the chunk was shifted.
-* prior_grads and subsampled_prior_grads take two more small BLAS products,
-  into which the constants and 1/norm fold:
+* _mixture_grads, behind prior_grads and subsampled_prior_grads, takes
+  two more small BLAS products, into which the constants and 1/norm fold:
 
     E @ [1, w, w^2] / norm      times c_j / c_max: sum_i r_ij, sum_i r_ij w_i
                                 and sum_i r_ij w_i^2, whence the sums of r d
@@ -66,10 +65,10 @@ Each caller stops once it has what it reads:
     [c/var; c mu/var] @ E       A_i and B_i, with
                                 d log p / d w_i = (B_i - w_i A_i) / norm_i
 
-A NaN or infinite weight makes norm_i non-finite (for quantize,
-max_j log c_j - q_ij), and the call raises NumericError naming its flat index.
-A mixture whose largest log c_j is not finite (a NaN log-variance, or one of
--inf) raises NumericError before the pass starts.
+A NaN or infinite weight makes norm_i non-finite (for assignments,
+max_j log c_j - q_ij), and the reader raises NumericError naming its flat
+index. A mixture whose largest log c_j is not finite (a NaN log-variance,
+or one of -inf) raises NumericError before the walk starts.
 
 Numerical range: after the exp every E_ij lies in [0, 1], and norm_i >= tiny
 at every finite weight, shifted or not. So every kept c_j / c_max must be at
@@ -104,7 +103,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Widening applied to a degenerate (min == max) pre-trained weight range.
 DEGENERATE_RANGE_PAD = 1e-2
 
-# Weights per step of prior_pass. Its (J+1, CHUNK) float64 buffer, about
+# Weights per step of _chunks. Its (J+1, CHUNK) float64 buffer, about
 # 0.5 MB at J+1 = 17, stays in cache across the chunk's sweeps.
 CHUNK = 4096
 
@@ -318,7 +317,7 @@ def hyper_grads(m: MixtureModel, h: HyperPriorConfig):
 
 
 class _Components(NamedTuple):
-    """Per-component constants of prior_pass, over the components it keeps.
+    """Per-component constants of the chunk walk, over the components it keeps.
 
     c_j = pi_j / sqrt(2 pi var_j) is the Gaussian's peak height times its
     mass. A component whose c_j / c_max is below the smallest normal float
@@ -366,23 +365,21 @@ def _check_finite(values: np.ndarray, start: int) -> None:
         raise NumericError(f"non-finite log prior at weight index {bad}")
 
 
-def _neg_q(x: np.ndarray, comp: _Components, E: np.ndarray) -> None:
-    """Fill the (k, n) buffer E with -q_ij = -(x_i - mu_j)^2 / (2 var_j)."""
-    np.subtract(x, comp.mu, out=E)
-    np.square(E, out=E)
-    E *= comp.neg_h
+def _chunks(w: np.ndarray, comp: _Components):
+    """Walk the flat weights w in CHUNK slices, yielding (start, x, E).
 
-
-def _assign(F: np.ndarray, comp: _Components, out: np.ndarray, start: int) -> None:
-    """Write into out each weight's argmax over j of F_ij = log c_j - q_ij.
-
-    Ties go to the lower index. A non-finite max_j F_ij (a NaN or infinite
-    weight) raises NumericError naming its flat index, start + i.
+    E is a (k, n) view of one buffer that each chunk overwrites, filled
+    with -q_ij = -(x_i - mu_j)^2 / (2 var_j) over the k kept components.
     """
-    best = F.max(axis=0)
-    _check_finite(best, start)
-    for j in range(F.shape[0] - 1, -1, -1):  # the lowest tied index is written last
-        np.copyto(out, comp.live[j], where=F[j] == best)
+    kept = comp.live.shape[0]
+    E_buf = np.empty(kept * min(CHUNK, w.shape[0]))
+    for start in range(0, w.shape[0], CHUNK):
+        x = w[start:start + CHUNK]
+        E = E_buf[:kept * x.shape[0]].reshape(kept, x.shape[0])
+        np.subtract(x, comp.mu, out=E)
+        np.square(E, out=E)
+        E *= comp.neg_h
+        yield start, x, E
 
 
 def _chunk_density(E: np.ndarray, comp: _Components, start: int = 0, near: bool = False):
@@ -408,63 +405,66 @@ def _chunk_density(E: np.ndarray, comp: _Components, start: int = 0, near: bool 
     return norm, shift
 
 
-def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
-    """The one chunked pass over the weights (see the module docstring).
+def log_prior(w, m: MixtureModel) -> float:
+    """log p(w) = sum_i log sum_j pi_j N(w_i | mu_j, var_j), via log-sum-exp."""
+    w = np.asarray(w, dtype=np.float64).ravel()
+    comp = _component_terms(m)
+    near = w.shape[0] > 0 and _within_reach(w, comp)
+    log_p = 0.0
+    for start, x, E in _chunks(w, comp):
+        norm, shift = _chunk_density(E, comp, start, near)
+        per_weight = np.log(norm)
+        if shift is not None:
+            per_weight += shift
+        log_p += float(per_weight.sum()) + x.shape[0] * comp.log_c_max
+    return log_p
 
-    Returns (log p(w) or None, PriorGrads or None, assignments or None).
-    Each call computes one of them: log p(w) when neither grads nor assign
-    is set, the mixture gradients (no hyper-prior terms) when grads is, and
-    each weight's argmax-responsibility component, ties to the lower index,
-    when assign is. Setting both raises ConfigurationError.
+
+def assignments(w, m: MixtureModel) -> np.ndarray:
+    """Each weight's argmax-responsibility component, ties to the lower index.
+
+    That is the argmax over j of log c_j - q_ij. A non-finite maximum (a
+    NaN or infinite weight) raises NumericError naming its flat index.
     """
-    if grads and assign:
-        raise ConfigurationError("prior_pass takes grads or assign, not both")
+    w = np.asarray(w, dtype=np.float64).ravel()
+    comp = _component_terms(m)
+    out = np.empty(w.shape[0], dtype=np.int64)
+    for start, x, E in _chunks(w, comp):
+        E += comp.log_c
+        best = E.max(axis=0)
+        _check_finite(best, start)
+        a = out[start:start + x.shape[0]]
+        for j in range(E.shape[0] - 1, -1, -1):  # the lowest tied index is written last
+            np.copyto(a, comp.live[j], where=E[j] == best)
+    return out
+
+
+def _mixture_grads(w, m: MixtureModel) -> PriorGrads:
+    """Gradients of log p(w) alone, without hyper-prior terms."""
     w = np.asarray(w, dtype=np.float64).ravel()
     total, k = w.shape[0], m.n_components
     comp = _component_terms(m)
-    kept = comp.live.shape[0]
-    width = min(CHUNK, total)
-    E_buf = np.empty(kept * width)
-    near = not assign and total > 0 and _within_reach(w, comp)
-    log_p = 0.0
-    assignments = np.empty(total, dtype=np.int64) if assign else None
-    if grads:
-        inv_var = np.exp(-m.log_vars)
-        # fold @ E: rows sum_j r_ij norm_i / var_j and sum_j r_ij norm_i mu_j / var_j
-        c_inv_var = comp.c * inv_var[comp.live]
-        fold = np.stack([c_inv_var, c_inv_var * comp.mu[:, 0]])
-        v = np.empty((3, width))
-        # per kept component: sum_i r_ij, sum_i r_ij w_i, sum_i r_ij w_i^2
-        moments = np.zeros((kept, 3))
-        d_weights = np.empty(total)
-    for start in range(0, total, CHUNK):
-        x = w[start:start + CHUNK]
-        n = x.shape[0]
-        E = E_buf[:kept * n].reshape(kept, n)
-        _neg_q(x, comp, E)
-        if assign:
-            E += comp.log_c
-            _assign(E, comp, assignments[start:start + n], start)
-            continue
-        norm, shift = _chunk_density(E, comp, start, near)
-        if not grads:
-            per_weight = np.log(norm)
-            if shift is not None:
-                per_weight += shift
-            log_p += float(per_weight.sum()) + n * comp.log_c_max
-            continue
+    near = total > 0 and _within_reach(w, comp)
+    inv_var = np.exp(-m.log_vars)
+    # fold @ E: rows sum_j r_ij norm_i / var_j and sum_j r_ij norm_i mu_j / var_j
+    c_inv_var = comp.c * inv_var[comp.live]
+    fold = np.stack([c_inv_var, c_inv_var * comp.mu[:, 0]])
+    v = np.empty((3, min(CHUNK, total)))
+    # per kept component: sum_i r_ij, sum_i r_ij w_i, sum_i r_ij w_i^2
+    moments = np.zeros((comp.live.shape[0], 3))
+    d_weights = np.empty(total)
+    for start, x, E in _chunks(w, comp):
+        norm, _ = _chunk_density(E, comp, start, near)
         # 1/norm scaled by the chunk's smallest norm keeps every term of
         # E @ vn.T at most max(1, w_i^2), however small a kept c_j is
         smallest = norm.min()
-        vn = v[:, :n]
+        vn = v[:, :x.shape[0]]
         np.divide(smallest, norm, out=vn[0])
         np.multiply(x, vn[0], out=vn[1])
         np.multiply(x, vn[1], out=vn[2])
         moments += (comp.c / smallest)[:, None] * (E @ vn.T)
         ab = fold @ E
-        d_weights[start:start + n] = (ab[1] - x * ab[0]) / norm
-    if not grads:
-        return (None if assign else log_p), None, assignments
+        d_weights[start:start + x.shape[0]] = (ab[1] - x * ab[0]) / norm
 
     s0, s1, s2 = np.zeros((3, k))
     s0[comp.live], s1[comp.live], s2[comp.live] = moments.T
@@ -478,12 +478,7 @@ def prior_pass(w, m: MixtureModel, grads: bool = False, assign: bool = False):
         d_logits[:] = s0 - total * m.mixing_proportions()
     else:
         d_logits[1:] = s0[1:] - _softmax(m.logits[1:]) * (total - s0[0])
-    return None, PriorGrads(d_weights, d_means, d_log_vars, d_logits), None
-
-
-def log_prior(w, m: MixtureModel) -> float:
-    """log p(w) = sum_i log sum_j pi_j N(w_i | mu_j, var_j), via log-sum-exp."""
-    return prior_pass(w, m)[0]
+    return PriorGrads(d_weights, d_means, d_log_vars, d_logits)
 
 
 def _add_hyper(g: PriorGrads, m: MixtureModel, h: Optional[HyperPriorConfig]) -> PriorGrads:
@@ -500,7 +495,7 @@ def prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig] = None) -> Pri
     Fixed quantities get zero gradient: d_means[0] always, d_logits[0]
     when pi_0 is fixed.
     """
-    return _add_hyper(prior_pass(w, m, grads=True)[1], m, h)
+    return _add_hyper(_mixture_grads(w, m), m, h)
 
 
 def subsampled_prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig],
@@ -517,7 +512,7 @@ def subsampled_prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig],
     if k == total:
         return prior_grads(w, m, h)
     idx = rng.choice(total, size=k, replace=False)
-    g = prior_pass(w[idx], m, grads=True)[1]
+    g = _mixture_grads(w[idx], m)
     scale = total / k
     d_weights = np.zeros(total)
     d_weights[idx] = g.d_weights * scale

@@ -185,8 +185,9 @@ def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_trace(net: Network, inputs: np.ndarray):
-    """Forward pass keeping pre-activations and activations per layer;
-    uint8 pixels enter as pixel / 255.0."""
+    """Forward pass keeping the inputs and each layer's output: relu
+    applied in place on the hidden layers, the last layer's logits as they
+    are. uint8 pixels enter as pixel / 255.0."""
     if inputs.shape[1] != net.in_dim:
         raise ConfigurationError(
             f"input width {inputs.shape[1]} does not match first layer "
@@ -195,28 +196,24 @@ def _forward_trace(net: Network, inputs: np.ndarray):
     if inputs.dtype == np.uint8:
         inputs = inputs / 255.0
     acts = [inputs]
-    pre = []
-    a = inputs
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
-        pre.append(z)
-        a = _softmax_rows(z) if layer.activation == "softmax" else np.maximum(z, 0.0)
-        acts.append(a)
-    return pre, acts
+        z = acts[-1] @ layer.weights.T + layer.biases
+        if layer.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts
 
 
 def forward(net: Network, batch: Batch) -> np.ndarray:
     """Class probabilities, one simplex row per sample."""
-    _, acts = _forward_trace(net, batch.inputs)
-    return acts[-1]
+    return _softmax_rows(_forward_trace(net, batch.inputs)[-1])
 
 
 def _diagnose_nonfinite(net: Network, inputs: np.ndarray) -> str:
-    pre, _ = _forward_trace(net, inputs)
-    for k, z in enumerate(pre):
-        if not np.all(np.isfinite(z)):
-            return f"first non-finite pre-activation in layer {k}"
-    return "activations finite; loss reduction produced a non-finite value"
+    for k, a in enumerate(_forward_trace(net, inputs)[1:]):
+        if not np.all(np.isfinite(a)):
+            return f"first non-finite output in layer {k}"
+    return "layer outputs finite; loss reduction produced a non-finite value"
 
 
 def error_loss_and_grad(net: Network, batch: Batch):
@@ -225,9 +222,9 @@ def error_loss_and_grad(net: Network, batch: Batch):
     Returns (loss, d_weights, d_biases), the gradients flat vectors laid
     out like ``net.weights`` and ``net.biases``.
     """
-    pre, acts = _forward_trace(net, batch.inputs)
+    acts = _forward_trace(net, batch.inputs)
     n = len(batch)
-    logp = _log_softmax_rows(pre[-1])
+    logp = _log_softmax_rows(acts.pop())
     true_logp = np.maximum(logp[np.arange(n), batch.labels], LOG_PROB_FLOOR)
     loss = float(-true_logp.mean())
     if not np.isfinite(loss):
@@ -244,15 +241,16 @@ def error_loss_and_grad(net: Network, batch: Batch):
     d_biases = np.empty_like(net.biases)
     dw = split_like_weights(net, d_weights)
     db = _split_like_biases(net, d_biases)
-    # each activation and pre-activation is dropped after its last read, so
-    # the gradient vectors take no more memory than the trace they replace
-    pre.pop()
-    acts.pop()
+    # each layer input is dropped after its last read, before the next
+    # delta is built, so the gradient vectors take no more memory than the
+    # trace they replace
     for k in range(len(net.layers) - 1, -1, -1):
-        np.matmul(delta.T, acts.pop(), out=dw[k])
+        np.matmul(delta.T, acts[k], out=dw[k])
         np.sum(delta, axis=0, out=db[k])
         if k > 0:
-            delta = (delta @ net.layers[k].weights) * (pre.pop() > 0.0)
+            # relu's mask from its output, this layer's input: act > 0 iff pre > 0
+            live = acts.pop() > 0.0
+            delta = (delta @ net.layers[k].weights) * live
     return loss, d_weights, d_biases
 
 

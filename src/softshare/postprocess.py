@@ -27,7 +27,7 @@ import numpy as np
 
 from .checkpoint import _Cursor, write_file
 from .errors import ConfigurationError, DataFormatError
-from .mixture import MixtureModel, prior_pass
+from .mixture import MixtureModel, assignments
 from .net import ACTIVATIONS, Layer, Network, check_activations, split_like_weights
 
 ZERO_SNAP_TOL = 1e-4
@@ -193,7 +193,7 @@ def quantize(net: Network, m: MixtureModel) -> QuantizedNetwork:
     Biases pass through untouched. A NaN or infinite weight raises
     NumericError naming its flat index.
     """
-    per_layer = split_like_weights(net, prior_pass(net.weights, m, assign=True)[2])
+    per_layer = split_like_weights(net, assignments(net.weights, m))
     means = m.means.copy()
     means[0] = 0.0
     layers = [

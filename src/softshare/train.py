@@ -23,6 +23,8 @@ A divergence guard watches the complexity loss between epochs: a blow-up
 beyond 10x its magnitude halves the three mixture learning rates once for
 the rest of the run. A non-finite loss aborts with DivergenceError, which
 carries the network, the mixture and the trace as that epoch left them.
+So does a step whose mixture update leaves a mean, log-variance or logit
+non-finite: it stops before the network's update of that step.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
                         mixture.variances().copy(), mixture.mixing_proportions().copy(),
                         mixture_lr_scale)
 
-    def train_step(batch: Batch) -> float:
+    def train_step(batch: Batch, epoch: int, step: int) -> float:
         """One step on batch; returns its error loss. The step's gradients
         are locals, so they are freed when it returns, before the next step
         or the epoch-end snapshot allocates."""
@@ -213,13 +215,18 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
             adam_log_vars.step(mixture.log_vars, -tau * g.d_log_vars, mixture_lr_scale)
             adam_logits.step(mixture.logits, -tau * g.d_logits, mixture_lr_scale)
             np.maximum(mixture.log_vars, log_floor, out=mixture.log_vars)
+            for name in ("means", "log_vars", "logits"):
+                if not np.isfinite(getattr(mixture, name)).all():
+                    raise DivergenceError(
+                        f"non-finite mixture {name} at epoch {epoch}, step {step}",
+                        network=net, mixture=mixture, trace=trace)
         adam_weights.step(net.weights, d_weights)
         adam_biases.step(net.biases, d_biases)
         return err_loss
 
     for epoch in range(1, cfg.retrain_epochs + 1):
-        batch_losses = [train_step(batch) for batch in iter_batches(
-            train_data.inputs, train_data.labels, cfg.batch_size, rng)]
+        batch_losses = [train_step(batch, epoch, step) for step, batch in enumerate(
+            iter_batches(train_data.inputs, train_data.labels, cfg.batch_size, rng), 1)]
         err_mean = float(np.mean(batch_losses)) if batch_losses else float("nan")
         row = snapshot(epoch, err_mean)
         trace.append(row)

@@ -393,6 +393,7 @@ def reference_run(tmp_path_factory):
     return cfg, result, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_end_to_end(reference_run):
     def body():
         _, result, elapsed = reference_run
@@ -420,6 +421,7 @@ def test_criterion_6_desk_scale_end_to_end(reference_run):
              body)
 
 
+@pytest.mark.slow
 def test_criterion_7_determinism(reference_run, tmp_path_factory):
     def body():
         cfg, result, _ = reference_run
@@ -446,6 +448,7 @@ def test_criterion_7_determinism(reference_run, tmp_path_factory):
 MNIST_DIR = ROOT / "data" / "mnist"
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not (MNIST_DIR / "train-images-idx3-ubyte").exists()
                     and not (MNIST_DIR / "train-images-idx3-ubyte.gz").exists(),
                     reason="IDX digit files not present under data/mnist")

@@ -3,8 +3,8 @@
 Density values are checked against scipy.stats; gradients against central
 finite differences through log_prior / hyper_log_density themselves, so
 the two sides of each comparison come from independent code paths. The
-folded prior_pass is also checked against the direct-form pass it replaced,
-kept here as _direct_prior_pass.
+folded readers of the chunk walk are also checked against the direct-form
+pass they replaced, kept here as _direct_prior_pass.
 """
 import math
 import warnings
@@ -26,15 +26,15 @@ from softshare.mixture import (
     MixtureModel,
     PriorGrads,
     _chunk_density,
+    _chunks,
     _component_terms,
-    _neg_q,
     _within_reach,
+    assignments,
     hyper_grads,
     hyper_log_density,
     init_mixture,
     log_prior,
     prior_grads,
-    prior_pass,
     subsampled_prior_grads,
 )
 from softshare.net import Layer, Network, make_network
@@ -63,8 +63,7 @@ def _scipy_log_prior(w, m):
 def _responsibilities(w, m):
     """(J+1, n) responsibilities and per-weight log p(w_i) from _chunk_density."""
     comp = _component_terms(m)
-    E = np.empty((comp.live.size, w.shape[0]))
-    _neg_q(w, comp, E)
+    _, _, E = next(_chunks(w, comp))
     norm, shift = _chunk_density(E, comp)
     r = np.zeros((m.n_components, w.shape[0]))
     r[comp.live] = comp.c[:, None] * E / norm
@@ -235,7 +234,7 @@ def test_log_prior_names_offending_weight():
 
 
 def _reference_pass(w, m):
-    """Direct weight-major (I, J+1) evaluation of everything prior_pass returns.
+    """Direct weight-major (I, J+1) evaluation of everything the readers return.
 
     Each value comes with the sum of the absolute terms it adds up, the
     scale its rounding error is relative to when the terms cancel.
@@ -282,19 +281,19 @@ def test_prior_pass_matches_weight_major_reference(n, var, trainable):
     w[near] = m.means[rng.integers(0, m.n_components, n)][near] \
         + math.sqrt(var) * rng.normal(0.0, 2.0, n)[near]
 
-    g = prior_pass(w, m, grads=True)[1]
-    assignments = prior_pass(w, m, assign=True)[2]
+    g = prior_grads(w, m)
+    assigned = assignments(w, m)
     ref = _reference_pass(w, m)
     got = {"log_prior": log_prior(w, m), "d_weights": g.d_weights, "d_means": g.d_means,
            "d_log_vars": g.d_log_vars, "d_logits": g.d_logits}
     for name, value in got.items():
         want, scale = ref[name]
         assert np.all(np.abs(value - want) <= 1e-9 * scale), name
-    np.testing.assert_array_equal(assignments, ref["argmax"])
+    np.testing.assert_array_equal(assigned, ref["argmax"])
 
 
 def _direct_prior_pass(w, m):
-    """The direct-form chunked pass prior_pass's folded sweeps replaced.
+    """The direct-form chunked pass the readers' folded sweeps replaced.
 
     Per chunk: d = w - mu, the log joint shifted by its per-weight maximum,
     r normalised by its column sums, and the sums of r, r d and r d^2 taken
@@ -356,14 +355,14 @@ def test_prior_pass_matches_direct_form_pass(state, trainable):
     # at the early state, where the compress benchmark runs, the per-call
     # bound rules out any shift, so no chunk takes the max
     assert _within_reach(w, _component_terms(m)) == (state == "early")
-    g = prior_pass(w, m, grads=True)[1]
-    assignments = prior_pass(w, m, assign=True)[2]
+    g = prior_grads(w, m)
+    assigned = assignments(w, m)
     ref_log_p, ref, ref_argmax = _direct_prior_pass(w, m)
     assert log_prior(w, m) == pytest.approx(ref_log_p, rel=1e-12)
     for name in ("d_weights", "d_means", "d_log_vars", "d_logits"):
         got, want = getattr(g, name), getattr(ref, name)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
-    np.testing.assert_array_equal(assignments, ref_argmax)
+    np.testing.assert_array_equal(assigned, ref_argmax)
 
 
 def _branch_case(var, trainable):
@@ -385,8 +384,8 @@ def _chunks_beyond_reach(w, m):
 
 
 def _check_against_references(w, m):
-    g = prior_pass(w, m, grads=True)[1]
-    assignments = prior_pass(w, m, assign=True)[2]
+    g = prior_grads(w, m)
+    assigned = assignments(w, m)
     ref_log_p, direct, direct_argmax = _direct_prior_pass(w, m)
     ref = _reference_pass(w, m)
     log_p = log_prior(w, m)
@@ -396,8 +395,8 @@ def _check_against_references(w, m):
         got = getattr(g, name)
         for want in (getattr(direct, name), ref[name][0]):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
-    np.testing.assert_array_equal(assignments, direct_argmax)
-    np.testing.assert_array_equal(assignments, ref["argmax"])
+    np.testing.assert_array_equal(assigned, direct_argmax)
+    np.testing.assert_array_equal(assigned, ref["argmax"])
 
 
 @pytest.mark.parametrize("trainable", [False, True])
@@ -501,10 +500,17 @@ def test_non_finite_log_variance_raises_numeric_error(log_vars, evaluate):
             evaluate(w, m)
 
 
-def test_prior_pass_takes_grads_or_assign_not_both():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ConfigurationError, match="not both"):
-        prior_pass(rng.normal(0.0, 0.3, 8), _mix(rng), grads=True, assign=True)
+@pytest.mark.parametrize("trainable", [False, True])
+def test_readers_take_an_empty_weight_vector(trainable):
+    m = _mix(np.random.default_rng(3), trainable=trainable)
+    w = np.empty(0)
+    assert log_prior(w, m) == 0.0
+    g = prior_grads(w, m)
+    assert g.d_weights.shape == (0,)
+    for name in ("d_means", "d_log_vars", "d_logits"):
+        np.testing.assert_array_equal(getattr(g, name), np.zeros(m.n_components))
+    a = assignments(w, m)
+    assert a.shape == (0,) and a.dtype == np.int64
 
 
 def test_validator_rejects_nonzero_spike_mean():

@@ -150,8 +150,8 @@ def test_evaluate_keeps_one_block_of_trace():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole batch's pre-activations and activations of the three layers
-    # are 2000 * 2 * 410 float64s, 13 MB; one block of EVAL_BLOCK rows is 1.7 MB
+    # the whole batch's outputs of the three layers are 2000 * 410 float64s,
+    # 6.6 MB; one block of EVAL_BLOCK rows is 0.8 MB
     assert peak < 4_000_000
 
 
@@ -166,11 +166,12 @@ def test_backprop_peaks_under_its_trace_plus_the_gradients():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # float64 inputs, pre-activations and activations of the three layers,
-    # the two gradient vectors, and 1 MB for the loss's small arrays and the
-    # deltas: the backward pass frees each activation after its last read,
-    # so the gradients do not stack on the whole trace (17.5 MB when they did)
-    trace = 1000 * (784 + 2 * 410) * 8
+    # float64 inputs and the outputs of the three layers, the two gradient
+    # vectors, and 1 MB for the loss's small arrays and the deltas: the
+    # backward pass frees each layer input after its last read, so the
+    # gradients do not stack on the whole trace (17.5 MB when they did), and
+    # no pre-activation is kept beside its relu output
+    trace = 1000 * (784 + 410) * 8
     assert peak < trace + net.weights.nbytes + net.biases.nbytes + 1_000_000
 
 

@@ -14,7 +14,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from softshare.errors import ConfigurationError, DataFormatError, NumericError
-from softshare.mixture import MixtureModel, _chunk_density, _component_terms, _neg_q
+from softshare.mixture import MixtureModel, _chunk_density, _chunks, _component_terms
 from softshare.net import Layer, Network
 from softshare.postprocess import (
     ZERO_SNAP_TOL,
@@ -190,8 +190,7 @@ def test_quantize_assigns_by_responsibility_argmax():
     # and against the responsibilities of _chunk_density over all weights at once
     w = net.weights
     comp = _component_terms(m)
-    E = np.empty((comp.live.size, w.size))
-    _neg_q(w, comp, E)
+    _, _, E = next(_chunks(w, comp))
     norm, _ = _chunk_density(E, comp)
     r = comp.c[:, None] * E / norm
     np.testing.assert_array_equal(q.layers[0].assignments.ravel(),

@@ -1,6 +1,7 @@
 """Retraining loop: Adam, the joint update, tracing, and failure guards."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ def test_non_finite_complexity_raises_divergence_error(monkeypatch):
     assert err.network is not None
     assert err.mixture is not None
     assert len(err.trace) == 2
+
+
+def test_a_non_finite_mixture_step_raises_divergence_error():
+    # a Gamma pin this strong overflows Adam's second moment of the spike's
+    # log-variance, which turns NaN in the second step, before any epoch ends
+    net, mx, data = _tiny_problem(tau=1e-3)
+    cfg = ExperimentConfig(retrain_epochs=2, batch_size=16, gamma_zero_alpha=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="log_vars at epoch 1, step 2$") as exc_info:
+            retrain(net, mx, data, cfg)
+    err = exc_info.value
+    assert not np.isfinite(err.mixture.log_vars).all()
+    assert err.trace == []
+    assert err.network is not None
 
 
 def test_subsampled_training_runs():
