@@ -15,6 +15,13 @@ Layout, all integers little-endian, all reals 64-bit:
 The mixture block is present exactly when the file extends past the layer
 table, so plain network checkpoints and retrained model+prior checkpoints
 share one format.
+
+Every binary artifact reader (SWSC here, SWSQ in postprocess, SWSB in
+codec) reads through one frame, `_Cursor`: `header` checks the 4-byte magic
+and the u16 version and returns the u16 count after them, `take` refuses to
+read past the end ("truncated"), and `end` refuses trailing bytes. For the
+SWSC and SWSQ files, `read_artifact` also re-raises a failed model check
+(ConfigurationError) as DataFormatError naming the file.
 """
 
 from __future__ import annotations
@@ -83,7 +90,8 @@ def write_file(path, data: bytes) -> None:
 
 
 class _Cursor:
-    """Reads a byte string front to back; reading past its end raises error."""
+    """Reads a byte string front to back; reading past its end, a wrong
+    header and bytes left at the end raise error, prefixed with name."""
 
     def __init__(self, blob: bytes, name: str, error=DataFormatError):
         self.blob = blob
@@ -105,26 +113,45 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def header(self, magic: bytes, version: int, what: str) -> int:
+        """Check the 4-byte magic and the u16 version; return the u16 count
+        that follows them."""
+        if self.take(4) != magic:
+            raise self.error(f"{self.name}: bad magic, not {what}")
+        found, count = self.unpack("<HH")
+        if found != version:
+            raise self.error(f"{self.name}: unsupported version {found}")
+        return count
+
+    def end(self) -> None:
+        if self.remaining:
+            raise self.error(f"{self.name}: {self.remaining} trailing bytes")
+
+
+def read_artifact(path, read):
+    """read(cursor) over the bytes of the file at path, which it must use up.
+    A failed model check (ConfigurationError) raises DataFormatError naming
+    the file."""
+    with open(path, "rb") as f:
+        cur = _Cursor(f.read(), str(path))
+    try:
+        out = read(cur)
+    except ConfigurationError as e:
+        raise DataFormatError(f"{cur.name}: {e}") from e
+    cur.end()
+    return out
+
 
 def load_checkpoint(path) -> tuple[Network, Optional[MixtureModel],
                                    Optional[HyperPriorConfig]]:
     """Read an SWSC file. Layers are built on views of the file's bytes, so
     the network's packing is the one copy of its parameters. A file whose
     fields fail the network or mixture checks raises DataFormatError."""
-    with open(path, "rb") as f:
-        cur = _Cursor(f.read(), str(path))
-    try:
-        return _read_checkpoint(cur)
-    except ConfigurationError as e:
-        raise DataFormatError(f"{cur.name}: {e}") from e
+    return read_artifact(path, _read_checkpoint)
 
 
 def _read_checkpoint(cur: _Cursor):
-    if cur.take(4) != SWSC_MAGIC:
-        raise DataFormatError(f"{cur.name}: bad magic, not a checkpoint")
-    version, n_layers = cur.unpack("<HH")
-    if version != SWSC_VERSION:
-        raise DataFormatError(f"{cur.name}: unsupported version {version}")
+    n_layers = cur.header(SWSC_MAGIC, SWSC_VERSION, "a checkpoint")
     layers = []
     for _ in range(n_layers):
         rows, cols, tag = cur.unpack("<IIB")
@@ -141,8 +168,6 @@ def _read_checkpoint(cur: _Cursor):
     comp = np.frombuffer(cur.take(24 * k), dtype="<f8").reshape(k, 3)
     flags, tau, pi0 = cur.unpack("<Bdd")
     hflags, a0, b0, ar, br, ab, bb = cur.unpack("<B6d")
-    if cur.remaining:
-        raise DataFormatError(f"{cur.name}: {cur.remaining} trailing bytes")
     mixture = MixtureModel(comp[:, 0].copy(), comp[:, 1].copy(),
                            comp[:, 2].copy(), pi0, bool(flags & 1), tau)
     hyper = HyperPriorConfig(

@@ -127,14 +127,18 @@ def cmd_report(args) -> int:
     path = Path(cfg.output_dir) / "report.json"
     if not path.exists():
         raise DataFormatError(f"no report at {path}")
-    report = json.loads(path.read_text())
-    print(f"compression rate: {report['compression_rate']:.3f}")
-    print(f"payload-only rate: {report['payload_compression_rate']:.3f}")
-    print(f"error before/after: {report['error_before']} / {report['error_after']}")
-    for i, layer in enumerate(report["layers"]):
-        print(f"layer {i}: {layer['rows']}x{layer['cols']} "
-              f"nnz {layer['nnz']} pruned {layer['prune_fraction']:.4f} "
-              f"bits {layer['total_bits']}")
+    try:   # bad UTF-8 or JSON, a missing key or a wrong type
+        report = json.loads(path.read_text(encoding="utf-8"))
+        lines = [f"compression rate: {report['compression_rate']:.3f}",
+                 f"payload-only rate: {report['payload_compression_rate']:.3f}",
+                 f"error before/after: {report['error_before']} / {report['error_after']}"]
+        lines += [f"layer {i}: {layer['rows']}x{layer['cols']} "
+                  f"nnz {layer['nnz']} pruned {layer['prune_fraction']:.4f} "
+                  f"bits {layer['total_bits']}"
+                  for i, layer in enumerate(report["layers"])]
+    except (LookupError, TypeError, ValueError, RecursionError) as e:
+        raise DataFormatError(f"{path}: not a compression report: {e!r}") from e
+    print("\n".join(lines))
     return 0
 
 

@@ -68,10 +68,10 @@ DENSE_BITS_PER_WEIGHT = 32
 
 MAX_CODE_LENGTH = 47   # longest Huffman code a decoder accepts
 MAX_FIELD_BITS = 57    # widest field read: 64 bits from the byte it starts in
-# Most weights a decoded layer may hold: an empty layer costs no blob bytes
-# per weight, so this caps the matrix a header alone can make the decoder
-# allocate (128 MiB of float64). LeNet-300-100's largest layer has 235,200.
-MAX_LAYER_WEIGHTS = 1 << 24
+# Most weights a decoded blob may hold over all its layers: an empty layer
+# costs no blob bytes per weight, so this caps the matrices headers alone can
+# make the decoder allocate (128 MiB of float64). LeNet-300-100 has 266,200.
+MAX_DECODED_WEIGHTS = 1 << 24
 
 # Per-layer fixed header: tag u8, rows u32, cols u32, p u8, p_prun u8,
 # nnz u32, n_entries u32.
@@ -463,10 +463,10 @@ def encode_network(q: QuantizedNetwork, p_fc: int = 5,
     return blob, report
 
 
-def decode_layer(cur: _Cursor, shape: Optional[tuple] = None) -> np.ndarray:
+def decode_layer(cur: _Cursor, shape: Optional[tuple], budget: int) -> np.ndarray:
     """The next layer's weight matrix; a given shape must match the header's
-    (rows, cols), and rows * cols may not exceed MAX_LAYER_WEIGHTS, both
-    checked before anything is allocated."""
+    (rows, cols), and rows * cols may not exceed budget, the weights the
+    blob may still hold, both checked before anything is allocated."""
     tag, rows, cols, p, pp, nnz, n_entries = cur.unpack(_LAYER_HEADER)
     if shape is not None and (rows, cols) != shape:
         raise DecodeError(f"layer of shape {(rows, cols)} where {shape} is expected")
@@ -476,9 +476,9 @@ def decode_layer(cur: _Cursor, shape: Optional[tuple] = None) -> np.ndarray:
         raise DecodeError(f"index bit width {p} outside [1, 16]")
     if pp != p_prun_for(nnz):
         raise DecodeError(f"IR bit width {pp} is not the width for nnz {nnz}")
-    if rows * cols > MAX_LAYER_WEIGHTS:
-        raise DecodeError(f"layer of shape {(rows, cols)} holds more than "
-                          f"{MAX_LAYER_WEIGHTS} weights")
+    if rows * cols > budget:
+        raise DecodeError(f"layer of shape {(rows, cols)} takes the blob to more "
+                          f"than {MAX_DECODED_WEIGHTS} weights")
     ir = _read_fixed(cur.take((pp * (rows + 1) + 7) // 8), 0, pp, rows + 1)
     ir = ir.astype(np.int64)
 
@@ -511,22 +511,22 @@ def decode_network(blob: bytes, shapes: Optional[list] = None) -> list:
     """Recover the quantized weight matrices from a blob, exactly.
 
     An empty layer takes no blob bytes per weight, so the blob's length does
-    not bound the (rows, cols) its header claims; MAX_LAYER_WEIGHTS does. A
-    caller that knows the matrix shapes passes them: the layer count and
-    each header's shape are then checked before the layer is allocated.
+    not bound the (rows, cols) its headers claim; MAX_DECODED_WEIGHTS bounds
+    their running total, checked before each layer is allocated. A caller
+    that knows the matrix shapes passes them: the layer count and each
+    header's shape are then checked before the layer is allocated.
     """
     cur = _Cursor(blob, "blob", DecodeError)
-    if cur.take(4) != SWSB_MAGIC:
-        raise DecodeError("bad magic, not an encoded-weights blob")
-    version, n_layers = cur.unpack("<HH")
-    if version != SWSB_VERSION:
-        raise DecodeError(f"unsupported blob version {version}")
+    n_layers = cur.header(SWSB_MAGIC, SWSB_VERSION, "an encoded-weights blob")
     if shapes is None:
         shapes = [None] * n_layers
     elif len(shapes) != n_layers:
         raise DecodeError(f"blob has {n_layers} layers where the layer count "
                           f"{len(shapes)} is expected")
-    matrices = [decode_layer(cur, shape) for shape in shapes]
-    if cur.remaining:
-        raise DecodeError(f"{cur.remaining} trailing bytes in blob")
+    matrices = []
+    budget = MAX_DECODED_WEIGHTS
+    for shape in shapes:
+        matrices.append(decode_layer(cur, shape, budget))
+        budget -= matrices[-1].size
+    cur.end()
     return matrices

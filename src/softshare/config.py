@@ -161,8 +161,12 @@ def read_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"config file {path} is not UTF-8: {e}") from None
     pairs = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

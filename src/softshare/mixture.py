@@ -141,11 +141,6 @@ class MixtureModel:
         """Total component count including the zero spike (J+1)."""
         return self.means.shape[0]
 
-    @property
-    def n_free(self) -> int:
-        """J, the number of components besides the zero spike."""
-        return self.means.shape[0] - 1
-
     def variances(self) -> np.ndarray:
         return np.exp(self.log_vars)
 

@@ -110,10 +110,6 @@ class Network:
         return self.layers[0].in_dim
 
     @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-    @property
     def weight_count(self) -> int:
         """Total number of weight-matrix entries (biases excluded)."""
         return self.weights.size

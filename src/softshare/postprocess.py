@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import _Cursor, write_file
+from .checkpoint import _Cursor, read_artifact, write_file
 from .errors import ConfigurationError, DataFormatError
 from .mixture import MixtureModel, assignments
 from .net import ACTIVATIONS, Layer, Network, check_activations, split_like_weights
@@ -223,20 +223,11 @@ def load_quantized(path) -> QuantizedNetwork:
     """Read an SWSQ file. A file whose fields fail the QuantizedNetwork
     checks (mean table, activations, assignment range) raises
     DataFormatError."""
-    with open(path, "rb") as f:
-        cur = _Cursor(f.read(), str(path))
-    try:
-        return _read_quantized(cur)
-    except ConfigurationError as e:
-        raise DataFormatError(f"{cur.name}: {e}") from e
+    return read_artifact(path, _read_quantized)
 
 
 def _read_quantized(cur: _Cursor) -> QuantizedNetwork:
-    if cur.take(4) != SWSQ_MAGIC:
-        raise DataFormatError(f"{cur.name}: bad magic, not a quantized-model file")
-    version, n_layers = cur.unpack("<HH")
-    if version != SWSQ_VERSION:
-        raise DataFormatError(f"{cur.name}: unsupported version {version}")
+    n_layers = cur.header(SWSQ_MAGIC, SWSQ_VERSION, "a quantized-model file")
     (k,) = cur.unpack("<H")
     means = np.frombuffer(cur.take(8 * k), dtype="<f8").copy()
     layers = []
@@ -249,6 +240,4 @@ def _read_quantized(cur: _Cursor) -> QuantizedNetwork:
         biases = np.frombuffer(cur.take(8 * rows), dtype="<f8").copy()
         layers.append(QuantizedLayer(a.reshape(rows, cols).astype(np.int64),
                                      biases, ACTIVATIONS[tag]))
-    if cur.remaining:
-        raise DataFormatError(f"{cur.name}: {cur.remaining} trailing bytes")
     return QuantizedNetwork(layers, means)

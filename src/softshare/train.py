@@ -227,7 +227,7 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
     for epoch in range(1, cfg.retrain_epochs + 1):
         batch_losses = [train_step(batch, epoch, step) for step, batch in enumerate(
             iter_batches(train_data.inputs, train_data.labels, cfg.batch_size, rng), 1)]
-        err_mean = float(np.mean(batch_losses)) if batch_losses else float("nan")
+        err_mean = float(np.mean(batch_losses))
         row = snapshot(epoch, err_mean)
         trace.append(row)
         if on_epoch is not None:

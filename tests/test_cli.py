@@ -113,6 +113,12 @@ def test_configuration_errors_exit_2(tiny_config_file, tmp_path, capsys):
     assert main(["compress", *_cfg_args(tiny_config_file), "--quiet"]) == 2
     assert "run pretrain first" in capsys.readouterr().err
 
+    not_utf8 = tmp_path / "latin.cfg"
+    not_utf8.write_bytes(b"\xff\xfe")
+    assert main(["run", "--config", str(not_utf8)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(not_utf8) in err
+
 
 def _assert_shape_refusal(err, path):
     assert str(path) in err
@@ -175,6 +181,25 @@ def test_data_errors_exit_3(tiny_config_file, tmp_path, capsys):
                  "--set", "dataset=mnist",
                  "--set", f"data_dir={tmp_path / 'data'}"]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    b'{"compression_rate": 4',
+    b"\xff\xfe{}",
+    b'{"compression_rate": 4.0}',
+    b'{"compression_rate": "4.0", "payload_compression_rate": 5.0}',
+    b'{"compression_rate": 4.0, "payload_compression_rate": 5.0, "error_before": 0.1,'
+    b' "error_after": 0.2, "layers": 3}',
+    b"[" * 100000,
+], ids=["truncated", "not_utf8", "missing_key", "string_rate", "int_layers", "deep"])
+def test_a_bad_report_exits_3(tiny_config_file, tmp_path, capsys, text):
+    path = tmp_path / "out" / "report.json"
+    path.parent.mkdir()
+    path.write_bytes(text)
+    assert main(["report", *_cfg_args(tiny_config_file)]) == 3
+    out, err = capsys.readouterr()
+    assert "data error" in err and str(path) in err
+    assert out == ""
 
 
 def test_numeric_errors_exit_4(tiny_config_file, monkeypatch, capsys):

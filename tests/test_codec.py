@@ -502,6 +502,22 @@ def test_decode_without_shapes_caps_the_layer_size_before_allocating():
     assert peak < 1 << 20
 
 
+def test_decode_without_shapes_caps_the_total_size_before_allocating():
+    # three empty (1, 2^23) layers: each alone is under the cap, the third
+    # takes the blob past it, and the 74-byte blob must not claim 192 MiB
+    layer = (struct.pack("<BIIBBII", 0, 1, 1 << 23, 5, 1, 0, 0)
+             + b"\x00" + struct.pack("<H", 0))
+    hostile = b"SWSB" + struct.pack("<HH", 1, 3) + 3 * layer
+    matrix_bytes = 8 << 23
+    tracemalloc.start()
+    try:
+        _raises_fast(lambda: decode_network(hostile), "more than")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * matrix_bytes <= peak < 3 * matrix_bytes
+
+
 def test_decode_with_shapes_checks_layer_count_and_each_shape():
     q = _quantized_net()
     blob, _ = encode_network(q)

@@ -36,7 +36,7 @@ def _random_net(rng, sizes=(6, 5, 4)):
 
 def _random_batch(rng, net, n=7):
     x = rng.normal(0.0, 1.0, size=(n, net.in_dim))
-    y = rng.integers(0, net.out_dim, size=n)
+    y = rng.integers(0, net.layers[-1].out_dim, size=n)
     return Batch(x, y)
 
 
@@ -53,7 +53,7 @@ def test_uint8_pixels_forward_as_pixel_over_255():
     rng = np.random.default_rng(5)
     net = _random_net(rng)
     pixels = rng.integers(0, 256, size=(9, net.in_dim)).astype(np.uint8)
-    labels = rng.integers(0, net.out_dim, size=9)
+    labels = rng.integers(0, net.layers[-1].out_dim, size=9)
     batch = Batch(pixels, labels)
     assert batch.inputs.dtype == np.uint8
     assert np.array_equal(forward(net, batch), forward(net, Batch(pixels / 255.0, labels)))
