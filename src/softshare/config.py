@@ -1,17 +1,19 @@
 """Experiment configuration: one flat key=value namespace.
 
-A config file holds `key = value` lines ('#' comments allowed); the same
-keys can be overridden on the command line. Keys are grouped below by the
-stage they feed; every stage reads its keys from ExperimentConfig itself.
-Each key is checked once, when the config is built (every float key must
-be finite), and an error names the key. Hyper-prior (alpha, beta) pairs use
-alpha = 0 to mean "disabled" so the default run matches the plain mixture
-objective.
+A config file holds `key = value` lines; a '#' at the start of a line or
+after whitespace starts a comment, so a value such as `out/run#2` is read
+whole. The same keys can be overridden on the command line. Keys are
+grouped below by the stage they feed; every stage reads its keys from
+ExperimentConfig itself. Each key is checked once, when the config is built
+(every float key must be finite), and an error names the key. Hyper-prior
+(alpha, beta) pairs use alpha = 0 to mean "disabled" so the default run
+matches the plain mixture objective.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -157,6 +159,10 @@ def parse_assignments(pairs) -> dict:
     return out
 
 
+# a '#' that starts a comment: at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 def read_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -167,7 +173,7 @@ def read_config_file(path) -> dict:
         raise ConfigurationError(f"config file {path} is not UTF-8: {e}") from None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

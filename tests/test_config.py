@@ -115,6 +115,12 @@ def test_read_config_file(tmp_path):
     with pytest.raises(ConfigurationError, match="not found"):
         read_config_file(tmp_path / "missing.cfg")
 
+    # a '#' inside a value is part of it, not the start of a comment
+    hashed = tmp_path / "hashed.cfg"
+    hashed.write_text("output_dir = out/run#2\nseed = 3   # reproducibility\n")
+    assert read_config_file(hashed) == {"output_dir": "out/run#2", "seed": 3}
+    assert load_config(hashed).output_dir == "out/run#2"
+
     broken = tmp_path / "broken.cfg"
     broken.write_text("seed = 1\njust words\n")
     with pytest.raises(ConfigurationError, match=r"broken\.cfg:2"):

@@ -1,6 +1,8 @@
 """IDX parsing, the MNIST directory layout, and the synthetic corpus."""
 import gzip
+import hashlib
 import struct
+import threading
 import time
 import tracemalloc
 import zlib
@@ -278,7 +280,9 @@ def test_grouped_shifts_match_the_per_image_loop():
     assert np.array_equal(ds.test.labels, test_y)
 
 
-@pytest.mark.parametrize("n", [1, 64, 129, SYNTHETIC_BLOCK - 1, SYNTHETIC_BLOCK + 1])
+# both noise buffers are in use from 2 * SYNTHETIC_BLOCK + 1 images on
+@pytest.mark.parametrize("n", [1, 64] + [k * SYNTHETIC_BLOCK + d for k, d in (
+    (1, -1), (1, 1), (2, -1), (2, 0), (2, 1), (3, 1))])
 def test_blockwise_noise_matches_the_whole_array_draw_at_block_edges(n):
     ds = synthetic_digits(n_train=n, n_test=n, seed=5)
     (train_x, train_y), (test_x, test_y) = _per_image_shift_corpus(n, n, 5)
@@ -286,6 +290,72 @@ def test_blockwise_noise_matches_the_whole_array_draw_at_block_edges(n):
     assert np.array_equal(ds.train.labels, train_y)
     assert np.array_equal(ds.test.inputs, np.rint(255 * test_x))
     assert np.array_equal(ds.test.labels, test_y)
+
+
+def test_reference_corpus_bytes_are_pinned():
+    # the corpus of the reference run (configs/synthetic.cfg sizes, seed 0);
+    # criteria 6 and 7 rest on these exact pixels and labels
+    ds = synthetic_digits(8000, 2000, seed=0)
+    digest = hashlib.sha256()
+    for a in (ds.train.inputs, ds.train.labels, ds.test.inputs, ds.test.labels):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == (
+        "4aadb52f34ba68aac2a5c8a68c2fa31ee3963a0a975bdbca5263661c678c801d")
+
+
+class _FailingNoise:
+    """A generator whose pixel-noise draws fail; its other draws are real."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, out):
+        raise FloatingPointError("noise draw failed")
+
+
+def _in_a_thread(call):
+    """The exceptions call raised, run on a daemon thread; a call that has
+    not returned within 30 s fails the test instead of hanging it."""
+    caught = []
+
+    def run():
+        try:
+            call()
+        except Exception as e:
+            caught.append(e)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=30)
+    assert not t.is_alive()
+    return caught
+
+
+def test_synthetic_corpus_leaves_no_thread_behind(monkeypatch):
+    before = threading.active_count()
+    synthetic_digits(n_train=3 * SYNTHETIC_BLOCK + 1, n_test=SYNTHETIC_BLOCK + 1)
+    assert threading.active_count() == before
+
+    # an error in the block arithmetic reaches the caller while the worker
+    # draws the next block's noise; the worker still ends with the call
+    def einsum(*args, **kwargs):
+        raise RuntimeError("einsum failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "einsum", einsum)
+        with pytest.raises(RuntimeError, match="einsum failed"):
+            synthetic_digits(n_train=3 * SYNTHETIC_BLOCK + 1, n_test=1)
+    assert threading.active_count() == before
+
+    # an error in the worker's draw reaches the caller too, and nothing hangs
+    monkeypatch.setattr(np.random, "default_rng", _FailingNoise)
+    caught = _in_a_thread(lambda: synthetic_digits(n_train=SYNTHETIC_BLOCK + 1,
+                                                   n_test=1))
+    assert [str(e) for e in caught] == ["noise draw failed"]
+    assert threading.active_count() == before
 
 
 def test_synthetic_corpus_peaks_under_4_mb_above_its_arrays():
