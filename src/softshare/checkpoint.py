@@ -8,13 +8,16 @@ Layout, all integers little-endian, all reals 64-bit:
     optional mixture block:
         component count u16
         per component: mean f64 | log variance f64 | logit f64
-        flags u8 (bit 0: zero mass trainable) | tau f64 | pi0 f64
-        hyper flags u8 (bit 0/1/2: gamma-zero / gamma-rest / beta-pi0 active)
-        6 x f64: the (alpha, beta) pairs in that order, zeros when inactive
+        flags u8 (always 0) | tau f64 | pi0 f64
+        hyper flags u8 (bit 0/1: gamma-zero / gamma-rest active)
+        6 x f64: the (alpha, beta) pairs in that order, zeros when inactive;
+                 the third pair is always zero
 
 The mixture block is present exactly when the file extends past the layer
 table, so plain network checkpoints and retrained model+prior checkpoints
-share one format.
+share one format. Flags bit 0 (a trainable zero mass) and hyper flags bit 2
+(a Beta prior on the zero mass) belonged to mixing modes that no longer
+exist; the reader refuses a file that sets either, or any higher bit.
 
 Every binary artifact reader (SWSC here, SWSQ in postprocess, SWSB in
 codec) reads through one frame, `_Cursor`: `header` checks the 4-byte magic
@@ -58,20 +61,17 @@ def save_checkpoint(net: Network, path, mixture: Optional[MixtureModel] = None,
         comp[:, 1] = mixture.log_vars
         comp[:, 2] = mixture.logits
         parts.append(comp.astype("<f8").tobytes())
-        flags = 1 if mixture.pi0_trainable else 0
-        parts.append(struct.pack("<Bdd", flags, mixture.tau, mixture.pi0))
+        parts.append(struct.pack("<Bdd", 0, mixture.tau, mixture.pi0))
         hflags = 0
         pairs = []
-        for bit, ab in enumerate((
-                hyper.gamma_zero if hyper else None,
-                hyper.gamma_rest if hyper else None,
-                hyper.beta_pi0 if hyper else None)):
+        for bit, ab in enumerate((hyper.gamma_zero if hyper else None,
+                                  hyper.gamma_rest if hyper else None)):
             if ab is not None:
                 hflags |= 1 << bit
                 pairs.extend(ab)
             else:
                 pairs.extend((0.0, 0.0))
-        parts.append(struct.pack("<B6d", hflags, *pairs))
+        parts.append(struct.pack("<B6d", hflags, *pairs, 0.0, 0.0))
     write_file(path, b"".join(parts))
 
 
@@ -167,13 +167,18 @@ def _read_checkpoint(cur: _Cursor):
     (k,) = cur.unpack("<H")
     comp = np.frombuffer(cur.take(24 * k), dtype="<f8").reshape(k, 3)
     flags, tau, pi0 = cur.unpack("<Bdd")
-    hflags, a0, b0, ar, br, ab, bb = cur.unpack("<B6d")
+    if flags:
+        raise DataFormatError(f"{cur.name}: mixture flags {flags:#04x} are not 0 "
+                              "(bit 0 was the retired trainable zero mass)")
+    hflags, a0, b0, ar, br, _, _ = cur.unpack("<B6d")
+    if hflags > 3:
+        raise DataFormatError(f"{cur.name}: hyper flags {hflags:#04x} set a bit "
+                              "above 1 (bit 2 was the retired Beta prior on the zero mass)")
     mixture = MixtureModel(comp[:, 0].copy(), comp[:, 1].copy(),
-                           comp[:, 2].copy(), pi0, bool(flags & 1), tau)
+                           comp[:, 2].copy(), pi0, tau)
     hyper = HyperPriorConfig(
         gamma_zero=(a0, b0) if hflags & 1 else None,
         gamma_rest=(ar, br) if hflags & 2 else None,
-        beta_pi0=(ab, bb) if hflags & 4 else None,
     )
     if not hyper.any_enabled:
         hyper = None

@@ -5,9 +5,10 @@ after whitespace starts a comment, so a value such as `out/run#2` is read
 whole. The same keys can be overridden on the command line. Keys are
 grouped below by the stage they feed; every stage reads its keys from
 ExperimentConfig itself. Each key is checked once, when the config is built
-(every float key must be finite), and an error names the key. Hyper-prior
-(alpha, beta) pairs use alpha = 0 to mean "disabled" so the default run
-matches the plain mixture objective.
+(every float key must be finite), and an error names the key. The zero
+spike's mass pi0 is a constant of the run. The Gamma hyper-prior
+(alpha, beta) pairs use alpha = 0 to mean "disabled" (a negative alpha is
+refused) so the default run matches the plain mixture objective.
 """
 
 from __future__ import annotations
@@ -19,15 +20,6 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .mixture import HyperPriorConfig
-
-
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"not a boolean: {s!r}")
 
 
 def _parse_sizes(s: str) -> tuple:
@@ -72,7 +64,6 @@ class ExperimentConfig:
     # mixture prior
     n_components: int = 16              # free components besides the zero spike
     pi0: float = 0.999
-    pi0_trainable: bool = False
     tau: float = 5e-3
 
     # hyper-priors, alpha = 0 disables the pair
@@ -80,8 +71,6 @@ class ExperimentConfig:
     gamma_zero_beta: float = 1.0
     gamma_rest_alpha: float = 0.0
     gamma_rest_beta: float = 1.0
-    beta_pi0_alpha: float = 0.0
-    beta_pi0_beta: float = 1.0
 
     # component merging
     kl_threshold: float = 1e-2
@@ -108,7 +97,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{key}: index bit widths must lie in [1, 16]")
         # "not x >= 0" and "not x > 0", so that NaN fails too
         for key in ("seed", "pretrain_epochs", "retrain_epochs", "subsample",
-                    "weight_decay", "tau", "kl_threshold"):
+                    "weight_decay", "tau", "kl_threshold", "gamma_zero_alpha",
+                    "gamma_rest_alpha"):
             if not getattr(self, key) >= 0:
                 raise ConfigurationError(f"{key} must be >= 0")
         for key in ("synthetic_train", "synthetic_test", "pretrain_batch_size",
@@ -127,14 +117,12 @@ class ExperimentConfig:
                         if self.gamma_zero_alpha > 0 else None),
             gamma_rest=((self.gamma_rest_alpha, self.gamma_rest_beta)
                         if self.gamma_rest_alpha > 0 else None),
-            beta_pi0=((self.beta_pi0_alpha, self.beta_pi0_beta)
-                      if self.beta_pi0_alpha > 0 else None),
         )
         return cfg if cfg.any_enabled else None
 
 
 # field annotations are strings under postponed evaluation
-_COERCE = {f.name: {"str": str, "int": int, "float": float, "bool": _parse_bool,
+_COERCE = {f.name: {"str": str, "int": int, "float": float,
                     "tuple": _parse_sizes}[f.type]
            for f in fields(ExperimentConfig)}
 

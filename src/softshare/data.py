@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigurationError, DataFormatError
 from .net import Batch
 
 IDX_UBYTE = 0x08
@@ -232,6 +232,9 @@ def synthetic_digits(n_train: int = 8000, n_test: int = 2000,
     0.0 + s * z; the two differ only in the sign of a zero, which the bump
     sum, the clip and the rint turn into the same pixel 0.
     """
+    if n_train < 1 or n_test < 1:
+        raise ConfigurationError(f"synthetic_digits needs n_train >= 1 and n_test >= 1, "
+                                 f"got {n_train} and {n_test}")
     rng = np.random.default_rng(seed)
     side, n_classes, n_bumps = MNIST_SIDE, SYNTHETIC_CLASSES, SYNTHETIC_BUMPS
     margin = 3

@@ -7,13 +7,9 @@ count is written J+1 in comments below: J free components plus the spike.
 
 Parameterization keeps everything unconstrained for gradient training:
 variances as log_vars (rho = log var) and mixing proportions through
-softmax logits. Two mixing modes exist:
-
-* fixed zero mass (default): pi_0 is a constant; the J free components
-  share the remaining mass through a softmax over logits[1:]. logits[0]
-  is ignored and receives zero gradient.
-* trainable zero mass: one softmax over all J+1 logits; a Beta hyper-prior
-  on the resulting pi_0 can keep it near a target mode.
+softmax logits. The zero mass pi_0 is a constant; the J free components
+share the remaining mass through a softmax over logits[1:]. logits[0] is
+ignored and receives zero gradient.
 
 Gamma hyper-priors act on component precisions lambda = 1/var = exp(-rho);
 they discourage variance collapse during retraining (a hard clamp in the
@@ -114,9 +110,8 @@ class MixtureModel:
 
     means: np.ndarray      # (J+1,), means[0] == 0.0 always
     log_vars: np.ndarray   # (J+1,)
-    logits: np.ndarray     # (J+1,); slot 0 participates only when pi0_trainable
-    pi0: float             # zero-spike mass when fixed; informational otherwise
-    pi0_trainable: bool = False
+    logits: np.ndarray     # (J+1,); slot 0 is ignored
+    pi0: float             # zero-spike mass
     tau: float = 5e-3      # complexity-loss weight used during retraining
 
     def __post_init__(self):
@@ -133,7 +128,7 @@ class MixtureModel:
             raise ConfigurationError("mixture parameter arrays disagree on length")
         if self.means[0] != 0.0:
             raise ConfigurationError("zero-spike mean must be exactly 0")
-        if not self.pi0_trainable and not 0.0 < self.pi0 < 1.0:
+        if not 0.0 < self.pi0 < 1.0:
             raise ConfigurationError(f"pi0 must lie in (0, 1), got {self.pi0}")
 
     @property
@@ -146,18 +141,14 @@ class MixtureModel:
 
     def mixing_proportions(self) -> np.ndarray:
         """Mixing vector (pi_0, pi_1, ..., pi_J); sums to 1."""
-        if self.pi0_trainable:
-            return _softmax(self.logits)
         pi = np.empty_like(self.logits)
         pi[0] = self.pi0
         pi[1:] = (1.0 - self.pi0) * _softmax(self.logits[1:])
         return pi
 
     def copy(self) -> "MixtureModel":
-        return MixtureModel(
-            self.means.copy(), self.log_vars.copy(), self.logits.copy(),
-            self.pi0, self.pi0_trainable, self.tau,
-        )
+        return MixtureModel(self.means.copy(), self.log_vars.copy(),
+                            self.logits.copy(), self.pi0, self.tau)
 
 
 @dataclass
@@ -166,16 +157,13 @@ class HyperPriorConfig:
 
     gamma_zero / gamma_rest: (alpha, beta) of a Gamma density on the
     precision of the zero spike / of every free component.
-    beta_pi0: (alpha, beta) of a Beta density on pi_0 (only meaningful when
-    pi_0 is trainable; with fixed pi_0 it contributes a constant).
     """
 
     gamma_zero: Optional[tuple[float, float]] = None
     gamma_rest: Optional[tuple[float, float]] = None
-    beta_pi0: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        for name in ("gamma_zero", "gamma_rest", "beta_pi0"):
+        for name in ("gamma_zero", "gamma_rest"):
             ab = getattr(self, name)
             if ab is None:
                 continue
@@ -190,16 +178,15 @@ class HyperPriorConfig:
 
     @property
     def any_enabled(self) -> bool:
-        return any(x is not None for x in (self.gamma_zero, self.gamma_rest, self.beta_pi0))
+        return self.gamma_zero is not None or self.gamma_rest is not None
 
 
 @dataclass
 class PriorGrads:
     """Gradients of the log joint density (mixture plus enabled hyper-priors).
 
-    Slot 0 of the component arrays belongs to the zero spike: d_means[0] is
-    always 0, and d_logits[0] is the zero-mass logit gradient (0 when pi_0
-    is fixed).
+    Slot 0 of the component arrays belongs to the zero spike: d_means[0] and
+    d_logits[0] are always 0.
     """
 
     d_weights: np.ndarray   # (I,)
@@ -214,7 +201,7 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def init_mixture(weights, n_free: int, pi0: float, weight_decay: float,
-                 tau: float = 5e-3, pi0_trainable: bool = False) -> MixtureModel:
+                 tau: float = 5e-3) -> MixtureModel:
     """Mixture spanning the pre-trained weight range.
 
     Free means are evenly spaced over [min(w), max(w)] endpoints included
@@ -245,11 +232,7 @@ def init_mixture(weights, n_free: int, pi0: float, weight_decay: float,
     var0 = max(((hi - lo) / n_free) ** 2 / 4.0, float(weight_decay))
     log_vars = np.full(n_free + 1, math.log(var0))
 
-    logits = np.zeros(n_free + 1)
-    if pi0_trainable:
-        logits[0] = math.log(pi0)
-        logits[1:] = math.log((1.0 - pi0) / n_free)
-    return MixtureModel(means, log_vars, logits, pi0, pi0_trainable, tau)
+    return MixtureModel(means, log_vars, np.zeros(n_free + 1), pi0, tau)
 
 
 def hyper_log_density(m: MixtureModel, h: HyperPriorConfig) -> float:
@@ -260,11 +243,6 @@ def hyper_log_density(m: MixtureModel, h: HyperPriorConfig) -> float:
         total += _gamma_logpdf(lam[0], *h.gamma_zero)
     if h.gamma_rest is not None:
         total += sum(_gamma_logpdf(l, *h.gamma_rest) for l in lam[1:])
-    if h.beta_pi0 is not None:
-        pi0 = float(m.mixing_proportions()[0])
-        if not 0.0 < pi0 < 1.0:
-            raise NumericError(f"pi0 = {pi0} outside the Beta domain (0, 1)")
-        total += _beta_logpdf(pi0, *h.beta_pi0)
     return float(total)
 
 
@@ -275,21 +253,12 @@ def _gamma_logpdf(lam: float, alpha: float, beta: float) -> float:
         + (alpha - 1.0) * math.log(lam) - beta * lam
 
 
-def _beta_logpdf(x: float, alpha: float, beta: float) -> float:
-    return math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta) \
-        + (alpha - 1.0) * math.log(x) + (beta - 1.0) * math.log1p(-x)
-
-
-def hyper_grads(m: MixtureModel, h: HyperPriorConfig):
-    """Gradients of the enabled hyper-prior log densities.
-
-    Returns (d_log_vars, d_logits), both (J+1,). Gamma densities act through
-    rho = log var (precision exp(-rho)); the Beta density acts through the
-    mixing logits, and only when pi_0 is trainable.
+def hyper_grads(m: MixtureModel, h: HyperPriorConfig) -> np.ndarray:
+    """Gradient (J+1,) of the enabled hyper-prior log densities in the
+    log-variances. The Gamma densities act through rho = log var
+    (precision exp(-rho)).
     """
-    k = m.n_components
-    d_log_vars = np.zeros(k)
-    d_logits = np.zeros(k)
+    d_log_vars = np.zeros(m.n_components)
     lam = np.exp(-m.log_vars)
     # d/d rho of (alpha-1) log lam - beta lam with lam = exp(-rho)
     if h.gamma_zero is not None:
@@ -298,17 +267,7 @@ def hyper_grads(m: MixtureModel, h: HyperPriorConfig):
     if h.gamma_rest is not None:
         a, b = h.gamma_rest
         d_log_vars[1:] = -(a - 1.0) + b * lam[1:]
-    if h.beta_pi0 is not None and m.pi0_trainable:
-        pi = m.mixing_proportions()
-        pi0 = float(pi[0])
-        if not 0.0 < pi0 < 1.0:
-            raise NumericError(f"pi0 = {pi0} outside the Beta domain (0, 1)")
-        a, b = h.beta_pi0
-        dlog_dpi0 = (a - 1.0) / pi0 - (b - 1.0) / (1.0 - pi0)
-        # d pi0 / d logit_k = pi0 (delta_0k - pi_k)
-        d_logits[:] = dlog_dpi0 * pi0 * (-pi)
-        d_logits[0] += dlog_dpi0 * pi0
-    return d_log_vars, d_logits
+    return d_log_vars
 
 
 class _Components(NamedTuple):
@@ -469,26 +428,20 @@ def _mixture_grads(w, m: MixtureModel) -> PriorGrads:
     d_means[0] = 0.0
     d_log_vars = 0.5 * (rdd * inv_var - s0)
     d_logits = np.zeros(k)
-    if m.pi0_trainable:
-        d_logits[:] = s0 - total * m.mixing_proportions()
-    else:
-        d_logits[1:] = s0[1:] - _softmax(m.logits[1:]) * (total - s0[0])
+    d_logits[1:] = s0[1:] - _softmax(m.logits[1:]) * (total - s0[0])
     return PriorGrads(d_weights, d_means, d_log_vars, d_logits)
 
 
 def _add_hyper(g: PriorGrads, m: MixtureModel, h: Optional[HyperPriorConfig]) -> PriorGrads:
     if h is not None and h.any_enabled:
-        d_lv, d_lg = hyper_grads(m, h)
-        g.d_log_vars += d_lv
-        g.d_logits += d_lg
+        g.d_log_vars += hyper_grads(m, h)
     return g
 
 
 def prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig] = None) -> PriorGrads:
     """Exact gradients of log p(w) plus any enabled hyper-prior densities.
 
-    Fixed quantities get zero gradient: d_means[0] always, d_logits[0]
-    when pi_0 is fixed.
+    Fixed quantities get zero gradient: d_means[0] and d_logits[0].
     """
     return _add_hyper(_mixture_grads(w, m), m, h)
 

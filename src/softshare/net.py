@@ -212,12 +212,25 @@ def _diagnose_nonfinite(net: Network, inputs: np.ndarray) -> str:
     return "layer outputs finite; loss reduction produced a non-finite value"
 
 
+def _check_labels(net: Network, labels: np.ndarray) -> None:
+    """Raise ConfigurationError unless every label is a class of the output
+    layer, in [0, output width)."""
+    width = net.layers[-1].out_dim
+    lo, hi = int(labels.min()), int(labels.max())
+    if lo < 0 or hi >= width:
+        raise ConfigurationError(
+            f"label {lo if lo < 0 else hi} outside [0, {width}): the output "
+            f"layer has {width} classes")
+
+
 def error_loss_and_grad(net: Network, batch: Batch):
     """Mean cross-entropy of the true class and its exact gradients.
 
     Returns (loss, d_weights, d_biases), the gradients flat vectors laid
-    out like ``net.weights`` and ``net.biases``.
+    out like ``net.weights`` and ``net.biases``. A label outside the output
+    layer's classes raises ConfigurationError.
     """
+    _check_labels(net, batch.labels)
     acts = _forward_trace(net, batch.inputs)
     n = len(batch)
     logp = _log_softmax_rows(acts.pop())
@@ -256,8 +269,10 @@ def evaluate(net: Network, batch: Batch) -> float:
     Calls forward on consecutive blocks of EVAL_BLOCK rows and sums their
     wrong counts, so only one block of pixels is turned into float64 at a
     time. A block's probabilities may differ from the whole batch's in the
-    last bit (the gemm rounding depends on the row count).
+    last bit (the gemm rounding depends on the row count). A label outside
+    the output layer's classes raises ConfigurationError.
     """
+    _check_labels(net, batch.labels)
     wrong = 0
     for lo in range(0, len(batch), EVAL_BLOCK):
         block = Batch(batch.inputs[lo:lo + EVAL_BLOCK], batch.labels[lo:lo + EVAL_BLOCK])

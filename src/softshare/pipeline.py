@@ -120,8 +120,7 @@ def stage_compress(cfg: ExperimentConfig, data: MnistDataset,
             f"layer_sizes={','.join(map(str, cfg.layer_sizes))} needs {want}; "
             "remove it or point pretrained_checkpoint at a matching baseline")
     mixture = init_mixture(net.weights, cfg.n_components, cfg.pi0,
-                           cfg.weight_decay, tau=cfg.tau,
-                           pi0_trainable=cfg.pi0_trainable)
+                           cfg.weight_decay, tau=cfg.tau)
     net, mixture, trace = retrain(
         net, mixture, data.train, cfg, data.test,
         on_epoch=lambda r: emit(

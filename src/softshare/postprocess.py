@@ -95,16 +95,6 @@ def kl_gaussian(mu_i: float, var_i: float, mu_j: float, var_j: float) -> float:
     return 0.5 * (var_i / var_j + d * d / var_j - 1.0 + math.log(var_j / var_i))
 
 
-def _logits_from_proportions(pi: np.ndarray, trainable: bool) -> np.ndarray:
-    """Logits whose softmax reproduces pi (up to rounding)."""
-    logits = np.zeros_like(pi)
-    if trainable:
-        logits[:] = np.log(pi)
-    else:
-        logits[1:] = np.log(pi[1:])
-    return logits
-
-
 def merge_components(m: MixtureModel, i: int, j: int) -> MixtureModel:
     """Merge components i and j into the lower index slot.
 
@@ -139,9 +129,10 @@ def merge_components(m: MixtureModel, i: int, j: int) -> MixtureModel:
     log_vars[pos] = math.log(var_new)
     pi_out[pos] = pi_new
 
-    pi0 = float(pi_out[0])
-    logits = _logits_from_proportions(pi_out, m.pi0_trainable)
-    return MixtureModel(means, log_vars, logits, pi0, m.pi0_trainable, m.tau)
+    # logits whose softmax over slots 1..J reproduces pi_out (up to rounding)
+    logits = np.zeros_like(pi_out)
+    logits[1:] = np.log(pi_out[1:])
+    return MixtureModel(means, log_vars, logits, float(pi_out[0]), m.tau)
 
 
 def _best_merge_pair(m: MixtureModel, threshold: float):

@@ -5,7 +5,6 @@ lines print as the criteria run. Criteria 6 and 7 train the desk-scale
 reference experiment twice; together they take roughly seven minutes on a
 desktop CPU (budget: 45 minutes for the reference run alone).
 """
-import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -97,15 +96,10 @@ def _fd_grad(f, x, eps=1e-6):
     return g
 
 
-def _rand_mixture(rng, k, trainable):
+def _rand_mixture(rng, k):
     means = rng.normal(0.0, 0.6, k)
     means[0] = 0.0
     log_vars = rng.uniform(-5.0, -1.0, k)
-    if trainable:
-        raw = rng.normal(0.0, 1.0, k)
-        logits = raw - math.log(np.exp(raw).sum())
-        return MixtureModel(means, log_vars, logits,
-                            float(np.exp(logits[0])), pi0_trainable=True)
     return MixtureModel(means, log_vars, rng.normal(0.0, 1.0, k),
                         float(rng.uniform(0.5, 0.95)))
 
@@ -149,7 +143,7 @@ def _mixture_fd(m, field, f, skip0=False):
 
 def _check_prior_instance(rng):
     k = int(rng.integers(3, 6))
-    m = _rand_mixture(rng, k, bool(rng.integers(2)))
+    m = _rand_mixture(rng, k)
     w = rng.normal(0.0, 0.5, int(rng.integers(8, 21)))
     g = prior_grads(w, m)
 
@@ -169,29 +163,23 @@ def _check_prior_instance(rng):
                                rtol=FD_RTOL, atol=FD_ATOL)
 
 
-def _rand_hyper(rng, allow_beta):
+def _rand_hyper(rng):
     while True:
         h = HyperPriorConfig(
             gamma_zero=((rng.uniform(1.5, 60.0), rng.uniform(0.1, 5.0))
                         if rng.integers(2) else None),
             gamma_rest=((rng.uniform(1.5, 60.0), rng.uniform(0.1, 5.0))
                         if rng.integers(2) else None),
-            beta_pi0=((rng.uniform(1.5, 10.0), rng.uniform(1.5, 10.0))
-                      if allow_beta and rng.integers(2) else None),
         )
         if h.any_enabled:
             return h
 
 
 def _check_hyper_instance(rng):
-    trainable = bool(rng.integers(2))
-    m = _rand_mixture(rng, int(rng.integers(3, 6)), trainable)
-    h = _rand_hyper(rng, allow_beta=True)
-    d_lv, d_lg = hyper_grads(m, h)
+    m = _rand_mixture(rng, int(rng.integers(3, 6)))
+    h = _rand_hyper(rng)
     density_of = lambda m2: hyper_log_density(m2, h)
-    np.testing.assert_allclose(d_lv, _mixture_fd(m, "log_vars", density_of),
-                               rtol=FD_RTOL, atol=FD_ATOL)
-    np.testing.assert_allclose(d_lg, _mixture_fd(m, "logits", density_of),
+    np.testing.assert_allclose(hyper_grads(m, h), _mixture_fd(m, "log_vars", density_of),
                                rtol=FD_RTOL, atol=FD_ATOL)
 
 
@@ -203,8 +191,8 @@ def _check_combined_instance(rng):
     n = int(rng.integers(3, 7))
     batch = Batch(rng.normal(0.0, 1.0, (n, sizes[0])),
                   rng.integers(0, sizes[-1], n))
-    m = _rand_mixture(rng, int(rng.integers(3, 5)), bool(rng.integers(2)))
-    h = _rand_hyper(rng, allow_beta=m.pi0_trainable) if rng.integers(2) else None
+    m = _rand_mixture(rng, int(rng.integers(3, 5)))
+    h = _rand_hyper(rng) if rng.integers(2) else None
     tau = 10.0 ** rng.uniform(-3.0, -0.5)
 
     def total(wf, mx):
@@ -268,7 +256,7 @@ def test_criterion_3_merge_conservation():
         worst = 0.0
         for _ in range(1000):
             k = int(rng.integers(4, 9))
-            m = _rand_mixture(rng, k, bool(rng.integers(2)))
+            m = _rand_mixture(rng, k)
             i, j = sorted(rng.choice(np.arange(1, k), 2, replace=False))
             pi = m.mixing_proportions()
             var = m.variances()

@@ -31,11 +31,17 @@ def test_network_only_round_trip(tmp_path):
         assert a.activation == b.activation
 
 
-@pytest.mark.parametrize("trainable", [False, True])
-def test_mixture_round_trip_is_bit_exact(tmp_path, trainable):
+@pytest.mark.parametrize("trained", [False, True])
+def test_mixture_round_trip_is_bit_exact(tmp_path, trained):
     net = _net(1)
     m = init_mixture(net.weights, n_free=5, pi0=0.93,
-                     weight_decay=1e-4, tau=3e-3, pi0_trainable=trainable)
+                     weight_decay=1e-4, tau=3e-3)
+    if trained:
+        # as after retraining: spread logits, and a stale value in the
+        # ignored slot 0, which the file keeps as it is
+        rng = np.random.default_rng(7)
+        m.logits[:] = rng.normal(0.0, 2.0, m.n_components)
+        m.log_vars += rng.normal(0.0, 0.5, m.n_components)
     path = tmp_path / "model.swsc"
     save_checkpoint(net, path, m)
     _, m2, hyper = load_checkpoint(path)
@@ -44,15 +50,13 @@ def test_mixture_round_trip_is_bit_exact(tmp_path, trainable):
     np.testing.assert_array_equal(m2.log_vars, m.log_vars)
     np.testing.assert_array_equal(m2.logits, m.logits)
     assert m2.pi0 == m.pi0
-    assert m2.pi0_trainable == m.pi0_trainable
     assert m2.tau == m.tau
 
 
 @pytest.mark.parametrize("hyper", [
     HyperPriorConfig(gamma_zero=(121.0, 0.3)),
-    HyperPriorConfig(gamma_rest=(101.0, 0.25), beta_pi0=(9.0, 2.0)),
-    HyperPriorConfig(gamma_zero=(50.0, 1.0), gamma_rest=(20.0, 0.5),
-                     beta_pi0=(3.0, 3.0)),
+    HyperPriorConfig(gamma_rest=(101.0, 0.25)),
+    HyperPriorConfig(gamma_zero=(50.0, 1.0), gamma_rest=(20.0, 0.5)),
 ])
 def test_hyper_prior_round_trip(tmp_path, hyper):
     net = _net(2)
@@ -63,7 +67,8 @@ def test_hyper_prior_round_trip(tmp_path, hyper):
     _, _, h2 = load_checkpoint(path)
     assert h2.gamma_zero == hyper.gamma_zero
     assert h2.gamma_rest == hyper.gamma_rest
-    assert h2.beta_pi0 == hyper.beta_pi0
+    # the third (alpha, beta) pair, once the Beta prior's, is written as zeros
+    assert path.read_bytes()[-16:] == bytes(16)
 
 
 def test_saving_hyper_without_mixture_keeps_plain_layout(tmp_path):
@@ -115,12 +120,12 @@ def _swsc(layers, mixture=b""):
     return b"".join(parts) + mixture
 
 
-def _mixture_block(means=(0.0, 0.5), pi0=0.9, hflags=0, pairs=(0.0,) * 6):
+def _mixture_block(means=(0.0, 0.5), pi0=0.9, flags=0, hflags=0, pairs=(0.0,) * 6):
     k = len(means)
     comp = np.zeros((k, 3))
     comp[:, 0] = means
     return (struct.pack("<H", k) + comp.astype("<f8").tobytes()
-            + struct.pack("<Bdd", 0, 1e-3, pi0) + struct.pack("<B6d", hflags, *pairs))
+            + struct.pack("<Bdd", flags, 1e-3, pi0) + struct.pack("<B6d", hflags, *pairs))
 
 
 @pytest.mark.parametrize("blob, match", [
@@ -132,7 +137,12 @@ def _mixture_block(means=(0.0, 0.5), pi0=0.9, hflags=0, pairs=(0.0,) * 6):
     (_swsc([(2, 4, 1)], _mixture_block(pi0=1.5)), "pi0 must lie"),
     (_swsc([(2, 4, 1)], _mixture_block(hflags=1, pairs=(0.5, 1.0, 0, 0, 0, 0))),
      "gamma_zero needs"),
-], ids=["relu_head", "softmax_hidden", "no_layers", "unchained", "spike_mean", "pi0", "hyper"])
+    # the retired mixing modes: a trainable zero mass, a Beta prior on it
+    (_swsc([(2, 4, 1)], _mixture_block(flags=1)), "trainable zero mass"),
+    (_swsc([(2, 4, 1)], _mixture_block(hflags=4, pairs=(0, 0, 0, 0, 3.0, 2.0))),
+     "Beta prior on the zero mass"),
+], ids=["relu_head", "softmax_hidden", "no_layers", "unchained", "spike_mean", "pi0", "hyper",
+        "trainable_pi0", "beta_pi0"])
 def test_load_rejects_well_formed_files_that_fail_validation(tmp_path, blob, match):
     path = tmp_path / "odd.swsc"
     path.write_bytes(blob)

@@ -125,6 +125,13 @@ def _assert_shape_refusal(err, path):
     assert "[(6, 784), (10, 6)]" in err and "[(8, 784), (10, 8)]" in err
 
 
+def test_labels_outside_the_output_layer_exit_2(tiny_config_file, capsys):
+    # the synthetic corpus has ten classes; five outputs cannot score them
+    assert main(["pretrain", *_cfg_args(tiny_config_file), "--quiet",
+                 "--set", "layer_sizes=784,16,5"]) == 2
+    assert "outside [0, 5)" in capsys.readouterr().err
+
+
 def test_run_refuses_a_baseline_of_other_layer_sizes(tiny_config_file, tmp_path, capsys):
     base = tmp_path / "baselines" / "tiny.swsc"
     named = ["--set", f"pretrained_checkpoint={base}"]
@@ -254,6 +261,24 @@ def test_eval_of_a_checkpoint_that_fails_validation_exits_3(tiny_config_file, tm
     capsys.readouterr()
     assert main(["eval", *_cfg_args(tiny_config_file), "--what", "pretrained"]) == 3
     assert "final layer must use softmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset, bit, mode", [
+    (-66, 0, "trainable zero mass"), (-49, 2, "Beta prior on the zero mass")],
+    ids=["trainable_pi0", "beta_pi0"])
+def test_eval_of_a_model_in_a_retired_mixing_mode_exits_3(
+        tiny_config_file, tmp_path, capsys, offset, bit, mode):
+    # the mixture block ends: flags u8 | tau f64 | pi0 f64 | hyper flags u8 | 6 x f64
+    assert main(["run", *_cfg_args(tiny_config_file), "--quiet"]) == 0
+    path = tmp_path / "out" / "model.swsc"
+    blob = bytearray(path.read_bytes())
+    assert blob[offset] == 0
+    blob[offset] |= 1 << bit
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", *_cfg_args(tiny_config_file), "--what", "model"]) == 3
+    err = capsys.readouterr().err
+    assert mode in err and str(path) in err
 
 
 def test_eval_blob_of_a_quantized_model_with_a_relu_head_exits_3(

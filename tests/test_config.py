@@ -46,13 +46,13 @@ def test_validation_rejects_bad_combinations():
     ("weight_decay", float("nan")), ("tau", -1e-3), ("tau", float("nan")),
     ("kl_threshold", -1.0), ("kl_threshold", float("inf")),
     ("kl_threshold", float("nan")), ("pretrain_lr", float("inf")),
-    ("gamma_zero_alpha", 0.5), ("gamma_rest_alpha", 1.0), ("beta_pi0_alpha", 1.0),
+    ("gamma_zero_alpha", 0.5), ("gamma_rest_alpha", 1.0), ("gamma_zero_alpha", -5.0),
     ("layer_sizes", (784, 0, 10)), ("layer_sizes", (784, -3, 10)),
-    ("seed", -1), ("synthetic_train", 0), ("synthetic_test", -5),
+    ("gamma_rest_alpha", -5.0), ("seed", -1), ("synthetic_train", 0), ("synthetic_test", -5),
 ] + [(key, float("inf")) for key in (
     "weight_decay", "lr_weights", "lr_means", "lr_log_vars",
     "lr_logits", "tau", "gamma_zero_alpha", "gamma_zero_beta", "gamma_rest_alpha",
-    "gamma_rest_beta", "beta_pi0_alpha", "beta_pi0_beta")])
+    "gamma_rest_beta")])
 def test_every_stage_setting_is_checked_when_the_config_is_built(key, value):
     with pytest.raises(ConfigurationError, match=key):
         ExperimentConfig(**{key: value})
@@ -66,13 +66,11 @@ def test_every_shipped_recipe_loads(recipe):
 
 def test_parse_assignments_coerces_types():
     got = parse_assignments([
-        "seed=7", "tau=1e-4", "pi0_trainable = yes",
+        "seed=7", "tau=1e-4",
         "layer_sizes = 20, 10, 5", "dataset=synthetic",
     ])
     assert got["seed"] == 7 and isinstance(got["seed"], int)
     assert got["tau"] == 1e-4
-    assert got["pi0_trainable"] is True
-    assert parse_assignments(["pi0_trainable=off"])["pi0_trainable"] is False
     assert got["layer_sizes"] == (20, 10, 5)
 
 
@@ -94,8 +92,10 @@ def test_parse_assignments_rejects_garbage():
         parse_assignments(["seed"])
     with pytest.raises(ConfigurationError, match="bad value"):
         parse_assignments(["seed=abc"])
-    with pytest.raises(ConfigurationError, match="not a boolean"):
-        parse_assignments(["pi0_trainable=maybe"])
+    # the retired mixing modes' keys are unknown now
+    for key in ("pi0_trainable", "beta_pi0_alpha", "beta_pi0_beta"):
+        with pytest.raises(ConfigurationError, match="unknown config key"):
+            parse_assignments([f"{key}=1"])
     with pytest.raises(ConfigurationError, match="at least input and output"):
         parse_assignments(["layer_sizes=10"])
     with pytest.raises(ConfigurationError, match="size list"):
@@ -143,10 +143,8 @@ def test_hyper_config_alpha_zero_disables():
     cfg = ExperimentConfig(gamma_zero_alpha=121.0, gamma_zero_beta=0.3)
     h = cfg.hyper_config()
     assert h.gamma_zero == (121.0, 0.3)
-    assert h.gamma_rest is None and h.beta_pi0 is None
-    cfg = ExperimentConfig(gamma_rest_alpha=50.0, beta_pi0_alpha=4.0,
-                           beta_pi0_beta=2.0)
+    assert h.gamma_rest is None
+    cfg = ExperimentConfig(gamma_rest_alpha=50.0)
     h = cfg.hyper_config()
     assert h.gamma_zero is None
     assert h.gamma_rest == (50.0, 1.0)
-    assert h.beta_pi0 == (4.0, 2.0)

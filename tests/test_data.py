@@ -18,7 +18,7 @@ from softshare.data import (
     read_idx,
     synthetic_digits,
 )
-from softshare.errors import DataFormatError
+from softshare.errors import ConfigurationError, DataFormatError
 from softshare.net import Batch, error_loss_and_grad, evaluate, make_network
 
 
@@ -229,6 +229,14 @@ def test_synthetic_corpus_shapes_and_ranges():
     assert np.all(images[:, :, -2:] == 0.0)
     # all ten classes appear in a reasonable draw
     assert len(np.unique(ds.train.labels)) == 10
+
+
+@pytest.mark.parametrize("n_train, n_test", [(0, 5), (5, 0), (-1, 5)])
+def test_synthetic_corpus_refuses_an_empty_split(n_train, n_test):
+    before = threading.active_count()
+    with pytest.raises(ConfigurationError, match="n_train >= 1 and n_test >= 1"):
+        synthetic_digits(n_train, n_test)
+    assert threading.active_count() == before
 
 
 def test_synthetic_corpus_is_deterministic():

@@ -5,6 +5,10 @@ finite differences through log_prior / hyper_log_density themselves, so
 the two sides of each comparison come from independent code paths. The
 folded readers of the chunk walk are also checked against the direct-form
 pass they replaced, kept here as _direct_prior_pass.
+
+Tests parametrized on `heavy` run twice: at pi0 = 0.9, and at pi0 = 0.999,
+the zero mass of configs/lenet300.cfg, where the free components share a
+thousandth of the mass.
 """
 import math
 import warnings
@@ -14,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
-from scipy.stats import beta as beta_dist
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -42,13 +45,15 @@ from softshare.postprocess import quantize
 from softshare.train import VARIANCE_FLOOR
 
 
-def _mix(rng, n_free=4, pi0=0.9, trainable=False):
+def _pi0(heavy):
+    return 0.999 if heavy else 0.9
+
+
+def _mix(rng, n_free=4, pi0=0.9):
     means = np.concatenate([[0.0], rng.normal(0.0, 0.5, n_free)])
     log_vars = rng.uniform(-4.0, -1.0, n_free + 1)
     logits = rng.normal(0.0, 0.5, n_free + 1)
-    if trainable:
-        logits[0] = math.log(pi0) + rng.normal(0, 0.1)
-    return MixtureModel(means, log_vars, logits, pi0, trainable)
+    return MixtureModel(means, log_vars, logits, pi0)
 
 
 def _scipy_log_prior(w, m):
@@ -71,10 +76,10 @@ def _responsibilities(w, m):
     return r, log_p if shift is None else log_p + shift
 
 
-@pytest.mark.parametrize("trainable", [False, True])
-def test_log_prior_matches_scipy(trainable):
+@pytest.mark.parametrize("heavy", [False, True])
+def test_log_prior_matches_scipy(heavy):
     rng = np.random.default_rng(11)
-    m = _mix(rng, trainable=trainable)
+    m = _mix(rng, pi0=_pi0(heavy))
     w = rng.normal(0.0, 0.4, 50)
     assert log_prior(w, m) == pytest.approx(_scipy_log_prior(w, m), rel=1e-12)
 
@@ -101,7 +106,7 @@ def test_mixing_proportions_fixed_mode():
     pi = m.mixing_proportions()
     assert pi[0] == 0.97
     assert pi.sum() == pytest.approx(1.0, rel=1e-15)
-    # slot-0 logit is dead weight in fixed mode
+    # the slot-0 logit is dead weight
     m2 = m.copy()
     m2.logits[0] += 123.0
     np.testing.assert_array_equal(m2.mixing_proportions(), pi)
@@ -120,11 +125,11 @@ def _fd(fun, x, eps):
     return g
 
 
-@pytest.mark.parametrize("trainable", [False, True])
+@pytest.mark.parametrize("heavy", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_prior_grads_match_finite_differences(trainable, seed):
+def test_prior_grads_match_finite_differences(heavy, seed):
     rng = np.random.default_rng(20 + seed)
-    m = _mix(rng, trainable=trainable)
+    m = _mix(rng, pi0=_pi0(heavy))
     w = rng.normal(0.0, 0.4, 25)
     g = prior_grads(w, m)
 
@@ -137,44 +142,35 @@ def test_prior_grads_match_finite_differences(trainable, seed):
         g.d_log_vars, _fd(lambda: log_prior(w, m), m.log_vars, 1e-6),
         rtol=2e-6, atol=1e-9)
     fd_logits = _fd(lambda: log_prior(w, m), m.logits, 1e-6)
-    if trainable:
-        np.testing.assert_allclose(g.d_logits, fd_logits, rtol=2e-6, atol=1e-9)
-    else:
-        np.testing.assert_allclose(g.d_logits[1:], fd_logits[1:], rtol=2e-6, atol=1e-9)
-        assert g.d_logits[0] == 0.0
+    np.testing.assert_allclose(g.d_logits[1:], fd_logits[1:], rtol=2e-6, atol=1e-9)
+    assert g.d_logits[0] == 0.0  # the zero mass is fixed
 
 
 def test_hyper_log_density_matches_scipy():
     rng = np.random.default_rng(30)
-    m = _mix(rng, trainable=True)
-    h = HyperPriorConfig(gamma_zero=(40.0, 2.0), gamma_rest=(10.0, 0.5),
-                         beta_pi0=(80.0, 3.0))
+    m = _mix(rng)
+    h = HyperPriorConfig(gamma_zero=(40.0, 2.0), gamma_rest=(10.0, 0.5))
     lam = np.exp(-m.log_vars)
-    pi0 = m.mixing_proportions()[0]
     expected = (
         gamma_dist.logpdf(lam[0], 40.0, scale=1 / 2.0)
         + gamma_dist.logpdf(lam[1:], 10.0, scale=1 / 0.5).sum()
-        + beta_dist.logpdf(pi0, 80.0, 3.0)
     )
     assert hyper_log_density(m, h) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("trainable", [False, True])
-def test_hyper_grads_match_finite_differences(trainable):
+@pytest.mark.parametrize("both", [False, True])
+def test_hyper_grads_match_finite_differences(both):
+    # both: Gamma priors on the spike and the free components; else on the
+    # free components only, so the spike's slot gets no gradient
     rng = np.random.default_rng(31)
-    m = _mix(rng, trainable=trainable)
-    h = HyperPriorConfig(gamma_zero=(40.0, 2.0), gamma_rest=(10.0, 0.5),
-                         beta_pi0=(80.0, 3.0))
-    d_lv, d_lg = hyper_grads(m, h)
+    m = _mix(rng)
+    h = HyperPriorConfig(gamma_zero=(40.0, 2.0) if both else None,
+                         gamma_rest=(10.0, 0.5))
+    d_lv = hyper_grads(m, h)
     np.testing.assert_allclose(
         d_lv, _fd(lambda: hyper_log_density(m, h), m.log_vars, 1e-6),
         rtol=2e-6, atol=1e-9)
-    fd_lg = _fd(lambda: hyper_log_density(m, h), m.logits, 1e-7)
-    if trainable:
-        np.testing.assert_allclose(d_lg, fd_lg, rtol=2e-5, atol=1e-9)
-    else:
-        # fixed pi0: the Beta term is constant in the logits
-        np.testing.assert_array_equal(d_lg, np.zeros_like(d_lg))
+    assert (d_lv[0] != 0.0) == both
 
 
 def test_hyper_config_validation_and_disable():
@@ -251,11 +247,8 @@ def _reference_pass(w, m):
     rd = r * d * inv_var
     col_r = r.sum(axis=0)
     n = w.shape[0]
-    if m.pi0_trainable:
-        d_logits = col_r - n * pi
-    else:
-        d_logits = np.zeros_like(pi)
-        d_logits[1:] = col_r[1:] - pi[1:] / (1.0 - pi[0]) * (n - col_r[0])
+    d_logits = np.zeros_like(pi)
+    d_logits[1:] = col_r[1:] - pi[1:] / (1.0 - pi[0]) * (n - col_r[0])
     d_means = rd.sum(axis=0)
     d_means[0] = 0.0
     return {
@@ -270,10 +263,10 @@ def _reference_pass(w, m):
 
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
 @pytest.mark.parametrize("var", [VARIANCE_FLOOR, 1e-2])
-@pytest.mark.parametrize("trainable", [False, True])
-def test_prior_pass_matches_weight_major_reference(n, var, trainable):
+@pytest.mark.parametrize("heavy", [False, True])
+def test_prior_pass_matches_weight_major_reference(n, var, heavy):
     rng = np.random.default_rng(n)
-    m = _mix(rng, n_free=16, trainable=trainable)
+    m = _mix(rng, n_free=16, pi0=_pi0(heavy))
     m.log_vars[:] = math.log(var)
     # half the weights spread over the range, half within a few sd of a mean
     w = rng.normal(0.0, 0.4, n)
@@ -321,24 +314,22 @@ def _direct_prior_pass(w, m):
     d_means = sums[1] * inv_var
     d_means[0] = 0.0
     d_logits = np.zeros(m.n_components)
-    if m.pi0_trainable:
-        d_logits[:] = sums[0] - n_total * m.mixing_proportions()
-    else:
-        free = np.exp(m.logits[1:] - m.logits[1:].max())
-        d_logits[1:] = sums[0][1:] - free / free.sum() * (n_total - sums[0][0])
+    free = np.exp(m.logits[1:] - m.logits[1:].max())
+    d_logits[1:] = sums[0][1:] - free / free.sum() * (n_total - sums[0][0])
     g = PriorGrads(d_weights, d_means, 0.5 * (sums[2] * inv_var - sums[0]), d_logits)
     return log_p, g, argmax
 
 
-def _network_state(state, trainable):
-    """benchmarks/bench_kernels.py's three mixture states on its seeded network.
+def _network_state(state, heavy):
+    """benchmarks/bench_kernels.py's three mixture states on its seeded network,
+    at its pi0 = 0.95 or, when heavy, at 0.999.
 
     early: the init mixture over the 784-300-100-10 network (seed 0).
     mid, late: that mixture's means at variances 5e-6 and 1e-6, with 87% of
     the weights drawn around the zero spike and the rest around a free mean.
     """
     w = make_network((784, 300, 100, 10), seed=0).weights
-    m = init_mixture(w, 16, 0.95, weight_decay=0.0, pi0_trainable=trainable)
+    m = init_mixture(w, 16, 0.999 if heavy else 0.95, weight_decay=0.0)
     if state == "early":
         return w, m
     var = {"mid": 5e-6, "late": 1e-6}[state]
@@ -349,9 +340,9 @@ def _network_state(state, trainable):
 
 
 @pytest.mark.parametrize("state", ["early", "mid", "late"])
-@pytest.mark.parametrize("trainable", [False, True])
-def test_prior_pass_matches_direct_form_pass(state, trainable):
-    w, m = _network_state(state, trainable)
+@pytest.mark.parametrize("heavy", [False, True])
+def test_prior_pass_matches_direct_form_pass(state, heavy):
+    w, m = _network_state(state, heavy)
     # at the early state, where the compress benchmark runs, the per-call
     # bound rules out any shift, so no chunk takes the max
     assert _within_reach(w, _component_terms(m)) == (state == "early")
@@ -365,10 +356,10 @@ def test_prior_pass_matches_direct_form_pass(state, trainable):
     np.testing.assert_array_equal(assigned, ref_argmax)
 
 
-def _branch_case(var, trainable):
+def _branch_case(var, heavy):
     """Weights within two sd of the means 0, 1, -1 and 2 at variance var."""
     m = MixtureModel(np.array([0.0, 1.0, -1.0, 2.0]), np.log(np.full(4, var)),
-                     np.array([0.0, 0.3, -0.2, 0.1]), 0.9, trainable)
+                     np.array([0.0, 0.3, -0.2, 0.1]), _pi0(heavy))
     rng = np.random.default_rng(7)
     n = 3 * CHUNK + 17
     w = m.means[rng.integers(0, 4, n)] + math.sqrt(var) * rng.uniform(-2.0, 2.0, n)
@@ -399,22 +390,22 @@ def _check_against_references(w, m):
     np.testing.assert_array_equal(assigned, ref["argmax"])
 
 
-@pytest.mark.parametrize("trainable", [False, True])
-def test_every_chunk_within_reach_past_the_call_bound(trainable):
+@pytest.mark.parametrize("heavy", [False, True])
+def test_every_chunk_within_reach_past_the_call_bound(heavy):
     # the weights span [-1, 2], so the per-call bound fails at variance 1e-4,
     # but each lies within two sd of a mean, so no chunk shifts
-    w, m = _branch_case(1e-4, trainable)
+    w, m = _branch_case(1e-4, heavy)
     assert not _within_reach(w, _component_terms(m))
     assert not any(_chunks_beyond_reach(w, m))
     _check_against_references(w, m)
 
 
-@pytest.mark.parametrize("trainable", [False, True])
-def test_one_weight_beyond_reach_shifts_its_chunk(trainable):
+@pytest.mark.parametrize("heavy", [False, True])
+def test_one_weight_beyond_reach_shifts_its_chunk(heavy):
     # 0.5 is 0.5 from the nearest means 0 and 1, so q = 1250 > reach (~704)
     # and exp(-q) underflows to 0 unless the chunk shifts. A larger q does
     # not suit here: the references round log c_j - q at about eps q.
-    w, m = _branch_case(1e-4, trainable)
+    w, m = _branch_case(1e-4, heavy)
     w[2 * CHUNK + 5] = 0.5
     assert not _within_reach(w, _component_terms(m))
     assert _chunks_beyond_reach(w, m) == [False, False, True, False]
@@ -435,25 +426,23 @@ def _scipy_pass(w, m):
     col_r = r.sum(axis=1)
     d_means = (r * d).sum(axis=1) / var
     d_means[0] = 0.0
-    d_logits = col_r - w.size * pi
-    if not m.pi0_trainable:
-        d_logits = col_r - pi / (1.0 - pi[0]) * (w.size - col_r[0])
-        d_logits[0] = 0.0
+    d_logits = col_r - pi / (1.0 - pi[0]) * (w.size - col_r[0])
+    d_logits[0] = 0.0
     return per_weight.sum(), PriorGrads(
         (r * -d / var[:, None]).sum(axis=0), d_means,
         0.5 * (r * (d * d / var[:, None] - 1.0)).sum(axis=1), d_logits)
 
 
 @pytest.mark.parametrize("log_pi", [math.log(1e-300), math.log(1e-306), -800.0])
-@pytest.mark.parametrize("trainable", [False, True])
-def test_extreme_mixing_proportions_match_scipy(log_pi, trainable):
+@pytest.mark.parametrize("heavy", [False, True])
+def test_extreme_mixing_proportions_match_scipy(log_pi, heavy):
     # component 3 gets pi_3 = 1e-300 or 1e-306, or a logit 800 below the
     # rest, so that pi_3 underflows to 0; most weights sit at its mean, where
     # every other component's density underflows (1000 of them sum 1/pi_3
     # past the largest float unless the moments are scaled)
     m = MixtureModel(np.array([0.0, -0.5, 0.5, 1.0]), np.log(np.full(4, 1e-4)),
-                     np.zeros(4), 0.9, trainable)
-    m.logits[3] = log_pi + math.log(3.0 if trainable else 2.0 / 0.1)
+                     np.zeros(4), _pi0(heavy))
+    m.logits[3] = log_pi + math.log(2.0 / (1.0 - m.pi0))
     assert (m.mixing_proportions()[3] == 0.0) == (log_pi == -800.0)
     rng = np.random.default_rng(3)
     w = np.concatenate([1.0 + 1e-3 * rng.standard_normal(1000),
@@ -500,9 +489,9 @@ def test_non_finite_log_variance_raises_numeric_error(log_vars, evaluate):
             evaluate(w, m)
 
 
-@pytest.mark.parametrize("trainable", [False, True])
-def test_readers_take_an_empty_weight_vector(trainable):
-    m = _mix(np.random.default_rng(3), trainable=trainable)
+@pytest.mark.parametrize("heavy", [False, True])
+def test_readers_take_an_empty_weight_vector(heavy):
+    m = _mix(np.random.default_rng(3), pi0=_pi0(heavy))
     w = np.empty(0)
     assert log_prior(w, m) == 0.0
     g = prior_grads(w, m)
@@ -552,9 +541,8 @@ class TestSubsampling:
         seed = 9
         g_with = subsampled_prior_grads(w, m, h, 5, np.random.default_rng(seed))
         g_without = subsampled_prior_grads(w, m, None, 5, np.random.default_rng(seed))
-        d_lv, _ = hyper_grads(m, h)
-        np.testing.assert_allclose(
-            g_with.d_log_vars - g_without.d_log_vars, d_lv, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(g_with.d_log_vars - g_without.d_log_vars,
+                                   hyper_grads(m, h), rtol=1e-12, atol=1e-15)
 
     def test_rejects_bad_k(self):
         rng = np.random.default_rng(53)
@@ -574,7 +562,7 @@ class TestSubsampling:
 def test_responsibility_rows_always_normalized(data, n_free, n_w):
     seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
-    m = _mix(rng, n_free=n_free, trainable=bool(seed % 2))
+    m = _mix(rng, n_free=n_free, pi0=_pi0(seed % 2))
     w = rng.normal(0.0, 1.0, n_w)
     r, _ = _responsibilities(w, m)
     np.testing.assert_allclose(r.sum(axis=0), 1.0, rtol=1e-10)

@@ -122,6 +122,16 @@ def test_confidently_wrong_prediction_keeps_loss_finite():
     assert np.all(np.isfinite(d_weights)) and np.all(np.isfinite(d_biases))
 
 
+@pytest.mark.parametrize("label", [-1, 4, 10])
+def test_labels_outside_the_output_layer_are_refused(label):
+    # a negative label would index the last class, one past it the array's end
+    net = make_network((6, 5, 4), seed=0)
+    batch = Batch(np.zeros((3, 6)), np.array([0, label, 2]))
+    for run in (error_loss_and_grad, evaluate):
+        with pytest.raises(ConfigurationError, match=rf"label {label} outside \[0, 4\)"):
+            run(net, batch)
+
+
 def test_evaluate_counts_top1_errors():
     w = np.array([[1.0], [-1.0]])
     net = Network([Layer(w, np.zeros(2), "softmax")])

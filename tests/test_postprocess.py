@@ -29,17 +29,12 @@ from softshare.postprocess import (
 )
 
 
-def _random_mixture(seed, k=6, trainable=False):
+def _random_mixture(seed, k=6, pi0=0.8):
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 0.5, k)
     means[0] = 0.0
     log_vars = rng.uniform(-6.0, -1.0, k)
-    logits = rng.normal(0.0, 1.0, k)
-    if trainable:
-        logits = np.log(np.exp(logits) / np.exp(logits).sum())
-        return MixtureModel(means, log_vars, logits, float(np.exp(logits[0])),
-                            pi0_trainable=True)
-    return MixtureModel(means, log_vars, logits, 0.8)
+    return MixtureModel(means, log_vars, rng.normal(0.0, 1.0, k), pi0)
 
 
 def test_kl_gaussian_matches_numerical_integration():
@@ -65,11 +60,12 @@ def test_kl_gaussian_edge_behaviour():
         kl_gaussian(0.0, 1.0, 0.0, -2.0)
 
 
-@pytest.mark.parametrize("trainable", [False, True])
-def test_merge_conserves_moment_sums(trainable):
+@pytest.mark.parametrize("heavy", [False, True])
+def test_merge_conserves_moment_sums(heavy):
+    # heavy: configs/lenet300.cfg's zero mass 0.999, else 0.8
     rng = np.random.default_rng(11)
     for trial in range(50):
-        m = _random_mixture(100 + trial, k=7, trainable=trainable)
+        m = _random_mixture(100 + trial, k=7, pi0=0.999 if heavy else 0.8)
         i, j = sorted(rng.choice(np.arange(1, 7), size=2, replace=False))
         pi = m.mixing_proportions()
         var = m.variances()
@@ -98,15 +94,22 @@ def test_merge_lands_in_lower_slot():
 
 
 def test_merge_rederived_logits_reproduce_proportions():
-    for trainable in (False, True):
-        m = _random_mixture(9, k=6, trainable=trainable)
+    # free pairs, and a free component into the spike: the merged mixture's
+    # logits reproduce the merged proportions, its pi0 is the merged zero
+    # mass, and its dead slot-0 logit is 0
+    for pi0 in (0.8, 0.999):
+        m = _random_mixture(9, k=6, pi0=pi0)
+        m.means[3] = 1e-5
         pi = m.mixing_proportions()
-        merged = merge_components(m, 2, 4)
-        expect = np.delete(pi, 4)
-        expect[2] = pi[2] + pi[4]
-        np.testing.assert_allclose(merged.mixing_proportions(), expect,
-                                   rtol=1e-12)
-        merged.validate()
+        for i, j in ((2, 4), (0, 3)):
+            merged = merge_components(m, i, j)
+            expect = np.delete(pi, j)
+            expect[i] = pi[i] + pi[j]
+            np.testing.assert_allclose(merged.mixing_proportions(), expect,
+                                       rtol=1e-12)
+            assert merged.pi0 == expect[0]
+            assert merged.logits[0] == 0.0
+            merged.validate()
 
 
 def test_merge_into_zero_spike_snaps_or_rejects():
@@ -208,9 +211,10 @@ def test_quantize_rejects_non_finite_weights(bad):
 
 
 def test_quantize_exact_ties_go_to_the_lower_index():
-    # one softmax over equal logits: all three masses are exactly 1/3
-    m = MixtureModel(np.array([0.0, 0.25, 0.75]), np.log(np.full(3, 1e-2)),
-                     np.zeros(3), 1 / 3, pi0_trainable=True)
+    # pi0 = 1/4 and equal logits: all four masses are exactly 1/4
+    m = MixtureModel(np.array([0.0, 0.25, 0.75, 1.5]), np.log(np.full(4, 1e-2)),
+                     np.zeros(4), 0.25)
+    assert np.all(m.mixing_proportions() == 0.25)
     # 0.5 is midway between 0.25 and 0.75; 0.125 between the spike and 0.25
     net = Network([Layer(np.array([[0.5, 0.125]]), np.zeros(1), "softmax")])
     q = quantize(net, m)

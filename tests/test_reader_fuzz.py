@@ -40,16 +40,18 @@ def _quantized():
 
 
 def _valid_files():
-    """Small valid SWSB, SWSQ and SWSC files, as bytes."""
+    """Small valid SWSB, SWSQ and SWSC files, as bytes. The SWSC file holds a
+    mixture with both Gamma hyper-priors active, so flipped bits in its
+    flags byte and its hyper flags byte reach the refusal of retired modes."""
     q = _quantized()
     net = make_network((6, 4, 3), seed=0)
     mixture = init_mixture(net.weights, n_free=3, pi0=0.9, weight_decay=0.0,
-                           tau=1e-3, pi0_trainable=True)
+                           tau=1e-3)
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         save_quantized(q, tmp / "valid.swsq")
         save_checkpoint(net, tmp / "valid.swsc", mixture,
-                        HyperPriorConfig(gamma_zero=(2.0, 1.0), beta_pi0=(3.0, 2.0)))
+                        HyperPriorConfig(gamma_zero=(2.0, 1.0), gamma_rest=(3.0, 2.0)))
         return {"swsb": encode_network(q)[0], "swsq": (tmp / "valid.swsq").read_bytes(),
                 "swsc": (tmp / "valid.swsc").read_bytes()}
 
