@@ -37,13 +37,17 @@ Times 17 kernels, grouped by the module they exercise:
                               the flat weight and bias vectors, on the
                               gradients of a batch of 128
     evaluate_2000             the test error over the 2000 test images
+    retrain_epoch             one retraining epoch of the same network over
+                              the 256 training images at batch 256 (traced
+                              peak only, not timed)
 
 Each kernel runs untimed a few times, then a fixed number of timed calls.
 The median and min of the timed calls, their count and the minor page
 faults per timed call go to the JSON file's "kernels". One more
-synthetic_digits and one more evaluate_2000 call run under tracemalloc;
-their traced peaks go to its "memory" record (for synthetic_digits beside
-the bytes of the arrays it returns, so the excess is the generator's own
+synthetic_digits and one more evaluate_2000 call, and the retrain_epoch
+call on a copy of the network made beforehand, run under tracemalloc; their
+traced peaks go to its "memory" record (for synthetic_digits beside the
+bytes of the arrays it returns, so the excess is the generator's own
 working memory). The environment record is that of perfbench/run.py: the
 Python, numpy and BLAS versions, the BLAS thread variables, the usable CPU
 count, the CPU model and the git commit.
@@ -86,11 +90,12 @@ import numpy as np  # noqa: E402
 import bench  # noqa: E402
 import run  # noqa: E402
 from softshare import codec  # noqa: E402
+from softshare.config import ExperimentConfig  # noqa: E402
 from softshare.data import synthetic_digits  # noqa: E402
 from softshare.mixture import init_mixture, log_prior, prior_grads  # noqa: E402
 from softshare.net import Batch, error_loss_and_grad, evaluate, make_network  # noqa: E402
 from softshare.postprocess import quantize  # noqa: E402
-from softshare.train import AdamState  # noqa: E402
+from softshare.train import AdamState, retrain  # noqa: E402
 
 SIZES = (784, 300, 100, 10)
 N_FREE, PI0 = 16, 0.95
@@ -204,6 +209,11 @@ def main(argv=None) -> int:
     kernels["adam_steps"] = time_call(adam_steps, repeats=50, warmup=5)
     kernels["evaluate_2000"] = time_call(lambda: evaluate(net, test), repeats=50, warmup=5)
     memory["evaluate_2000"] = {"traced_peak_mib": traced(lambda: evaluate(net, test))[1]}
+    retrain_cfg = ExperimentConfig(batch_size=max(BATCHES), retrain_epochs=1)
+    retrain_net = net.copy()
+    retrain_mixture = init_mixture(retrain_net.weights, N_FREE, PI0, weight_decay=0.0)
+    memory["retrain_epoch"] = {"traced_peak_mib": traced(
+        lambda: retrain(retrain_net, retrain_mixture, data, retrain_cfg))[1]}
 
     result = {
         "shape": {"layer_sizes": list(SIZES), "components": N_FREE + 1,

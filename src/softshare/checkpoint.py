@@ -91,10 +91,11 @@ def write_file(path, data: bytes) -> None:
 
 class _Cursor:
     """Reads a byte string front to back; reading past its end, a wrong
-    header and bytes left at the end raise error, prefixed with name."""
+    header and bytes left at the end raise error, prefixed with name.
+    take returns views of the string, so a reader copies each array once."""
 
     def __init__(self, blob: bytes, name: str, error=DataFormatError):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
         self.name = name
         self.error = error
@@ -103,7 +104,7 @@ class _Cursor:
     def remaining(self) -> int:
         return len(self.blob) - self.pos
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise self.error(f"{self.name} truncated at byte {self.pos}")
         out = self.blob[self.pos:self.pos + n]

@@ -441,8 +441,14 @@ def encode_network(q: QuantizedNetwork, p_fc: int = 5,
 
     Every layer of a feedforward Network is fully connected: each is
     tagged LAYER_TAG_FC and coded at index width p_fc. p_conv is never
-    read; it is accepted only so that existing callers keep working.
+    read; it is accepted only so that existing callers keep working. A
+    network of more than MAX_DECODED_WEIGHTS weights, which decode_network
+    would refuse, raises ConfigurationError before any layer is encoded.
     """
+    n_weights = sum(ql.assignments.size for ql in q.layers)
+    if n_weights > MAX_DECODED_WEIGHTS:
+        raise ConfigurationError(f"network of {n_weights} weights: a blob may hold "
+                                 f"at most {MAX_DECODED_WEIGHTS}")
     encoded = [encode_layer(q.means[ql.assignments], p_fc, q.prune_fraction(li))
                for li, ql in enumerate(q.layers)]
     blob = b"".join([SWSB_MAGIC, struct.pack("<HH", SWSB_VERSION, len(encoded))]

@@ -5,7 +5,9 @@ after whitespace starts a comment, so a value such as `out/run#2` is read
 whole. The same keys can be overridden on the command line. Keys are
 grouped below by the stage they feed; every stage reads its keys from
 ExperimentConfig itself. Each key is checked once, when the config is built
-(every float key must be finite), and an error names the key. The zero
+(every float key must be finite), and an error names the key. layer_sizes
+may make at most codec.MAX_DECODED_WEIGHTS weights, the most a blob's
+reader accepts, so a run never trains a network it could not decode. The zero
 spike's mass pi0 is a constant of the run. The Gamma hyper-prior
 (alpha, beta) pairs use alpha = 0 to mean "disabled" (a negative alpha is
 refused) so the default run matches the plain mixture objective.
@@ -18,6 +20,7 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .codec import MAX_DECODED_WEIGHTS
 from .errors import ConfigurationError
 from .mixture import HyperPriorConfig
 
@@ -90,6 +93,11 @@ class ExperimentConfig:
         if not all(n >= 1 for n in self.layer_sizes):
             raise ConfigurationError(
                 f"layer_sizes must all be >= 1, got {self.layer_sizes}")
+        n_weights = sum(a * b for a, b in zip(self.layer_sizes, self.layer_sizes[1:]))
+        if n_weights > MAX_DECODED_WEIGHTS:
+            raise ConfigurationError(
+                f"layer_sizes make {n_weights} weights, more than the "
+                f"{MAX_DECODED_WEIGHTS} an encoded blob may hold")
         if not 0.0 < self.pi0 < 1.0:
             raise ConfigurationError("pi0 must lie in (0, 1)")
         for key in ("p_fc", "p_conv"):

@@ -61,6 +61,10 @@ Three readers walk it, and each stops once it has what it reads:
     [c/var; c mu/var] @ E       A_i and B_i, with
                                 d log p / d w_i = (B_i - w_i A_i) / norm_i
 
+  It adds each chunk's d log p / d w, times the caller's scale, into the
+  caller's flat vector (the trainer passes its error gradient and -tau),
+  so the pass allocates nothing weight-sized.
+
 A NaN or infinite weight makes norm_i non-finite (for assignments,
 max_j log c_j - q_ij), and the reader raises NumericError naming its flat
 index. A mixture whose largest log c_j is not finite (a NaN log-variance,
@@ -393,9 +397,27 @@ def assignments(w, m: MixtureModel) -> np.ndarray:
     return out
 
 
-def _mixture_grads(w, m: MixtureModel) -> PriorGrads:
-    """Gradients of log p(w) alone, without hyper-prior terms."""
-    w = np.asarray(w, dtype=np.float64).ravel()
+def _accumulator(into: Optional[np.ndarray], size: int) -> np.ndarray:
+    """into, or a fresh vector of -0.0: the additive identity, so adding a
+    value into it leaves that value's bits, the sign of a zero included."""
+    if into is None:
+        return np.full(size, -0.0)
+    if into.shape != (size,):
+        raise ConfigurationError(f"weight gradient of shape {into.shape} "
+                                 f"for {size} weights")
+    return into
+
+
+def _mixture_grads(w: np.ndarray, m: MixtureModel, into: np.ndarray,
+                   scale: float) -> PriorGrads:
+    """Gradients of log p(w) alone, without hyper-prior terms.
+
+    scale * d log p / d w is added into the flat vector into, one chunk at
+    a time, and into is returned as d_weights; the component gradients are
+    not scaled. Each element sees d log p / d w_i, times scale, plus its
+    entry of into: the same two roundings as scaling the whole gradient
+    and then adding it. w is flat float64, as both public readers pass it.
+    """
     total, k = w.shape[0], m.n_components
     comp = _component_terms(m)
     near = total > 0 and _within_reach(w, comp)
@@ -406,7 +428,6 @@ def _mixture_grads(w, m: MixtureModel) -> PriorGrads:
     v = np.empty((3, min(CHUNK, total)))
     # per kept component: sum_i r_ij, sum_i r_ij w_i, sum_i r_ij w_i^2
     moments = np.zeros((comp.live.shape[0], 3))
-    d_weights = np.empty(total)
     for start, x, E in _chunks(w, comp):
         norm, _ = _chunk_density(E, comp, start, near)
         # 1/norm scaled by the chunk's smallest norm keeps every term of
@@ -418,7 +439,10 @@ def _mixture_grads(w, m: MixtureModel) -> PriorGrads:
         np.multiply(x, vn[1], out=vn[2])
         moments += (comp.c / smallest)[:, None] * (E @ vn.T)
         ab = fold @ E
-        d_weights[start:start + x.shape[0]] = (ab[1] - x * ab[0]) / norm
+        gw = ab[1] - x * ab[0]
+        gw /= norm
+        gw *= scale
+        into[start:start + x.shape[0]] += gw
 
     s0, s1, s2 = np.zeros((3, k))
     s0[comp.live], s1[comp.live], s2[comp.live] = moments.T
@@ -429,7 +453,7 @@ def _mixture_grads(w, m: MixtureModel) -> PriorGrads:
     d_log_vars = 0.5 * (rdd * inv_var - s0)
     d_logits = np.zeros(k)
     d_logits[1:] = s0[1:] - _softmax(m.logits[1:]) * (total - s0[0])
-    return PriorGrads(d_weights, d_means, d_log_vars, d_logits)
+    return PriorGrads(into, d_means, d_log_vars, d_logits)
 
 
 def _add_hyper(g: PriorGrads, m: MixtureModel, h: Optional[HyperPriorConfig]) -> PriorGrads:
@@ -438,31 +462,42 @@ def _add_hyper(g: PriorGrads, m: MixtureModel, h: Optional[HyperPriorConfig]) ->
     return g
 
 
-def prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig] = None) -> PriorGrads:
+def prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig] = None,
+                into: Optional[np.ndarray] = None, scale: float = 1.0) -> PriorGrads:
     """Exact gradients of log p(w) plus any enabled hyper-prior densities.
 
-    Fixed quantities get zero gradient: d_means[0] and d_logits[0].
+    scale times the weight gradient is added into the flat vector into (a
+    fresh one when None), which comes back as d_weights; so a trainer adds
+    -tau d log p / d w into its error gradient without a weight-sized
+    temporary. The component gradients are returned unscaled. Fixed
+    quantities get zero gradient: d_means[0] and d_logits[0].
     """
-    return _add_hyper(_mixture_grads(w, m), m, h)
+    w = np.asarray(w, dtype=np.float64).ravel()
+    return _add_hyper(_mixture_grads(w, m, _accumulator(into, w.shape[0]), scale), m, h)
 
 
 def subsampled_prior_grads(w, m: MixtureModel, h: Optional[HyperPriorConfig],
-                           k: int, rng: np.random.Generator) -> PriorGrads:
+                           k: int, rng: np.random.Generator,
+                           into: Optional[np.ndarray] = None,
+                           scale: float = 1.0) -> PriorGrads:
     """Unbiased estimate of prior_grads from k weights sampled without replacement.
 
     The sampled contribution is scaled by I/k; hyper-prior terms do not
-    depend on the weights and enter exactly.
+    depend on the weights and enter exactly. into and scale act as in
+    prior_grads: the sampled weights' entries are scatter-added into it.
     """
     w = np.asarray(w, dtype=np.float64).ravel()
     total = w.shape[0]
     if not 1 <= k <= total:
         raise ConfigurationError(f"subsample size {k} outside [1, {total}]")
     if k == total:
-        return prior_grads(w, m, h)
+        return prior_grads(w, m, h, into, scale)
+    into = _accumulator(into, total)
     idx = rng.choice(total, size=k, replace=False)
-    g = _mixture_grads(w[idx], m)
-    scale = total / k
-    d_weights = np.zeros(total)
-    d_weights[idx] = g.d_weights * scale
-    g = PriorGrads(d_weights, g.d_means * scale, g.d_log_vars * scale, g.d_logits * scale)
+    inv_frac = total / k
+    g = _mixture_grads(w[idx], m, _accumulator(None, k), inv_frac)
+    g.d_weights *= scale
+    into[idx] += g.d_weights    # idx holds no repeats
+    g = PriorGrads(into, g.d_means * inv_frac, g.d_log_vars * inv_frac,
+                   g.d_logits * inv_frac)
     return _add_hyper(g, m, h)

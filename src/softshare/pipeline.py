@@ -20,6 +20,12 @@ at ``pretrained_checkpoint``):
 Every stage reads the one ExperimentConfig: pretraining its pretrain_*
 keys, retraining its retraining keys, merging kl_threshold, encoding p_fc.
 
+Each stage holds one network at a time. stage_pretrain trains the one it
+makes. stage_compress loads the baseline and hands it to retrain, which
+trains it in place with one weight-sized gradient per step; quantize then
+reads that same network. stage_encode evaluates the baseline and frees it
+before evaluate_blob builds the network decoded from the blob.
+
 run_pipeline loads the data once, pretrains unless pretrained_checkpoint
 names a baseline, then compresses and encodes; stage_compress refuses a
 baseline whose layer shapes differ from layer_sizes; the stagewise CLI
@@ -144,8 +150,9 @@ def stage_encode(cfg: ExperimentConfig, data: MnistDataset, emit: Emit) -> dict:
     q = load_quantized(qpath)
     blob, report = encode_network(q, cfg.p_fc, cfg.p_conv)
     write_file(out / "weights.swsb", blob)
-    pretrained, _, _ = load_checkpoint(_pretrained_path(cfg))
-    report.error_before = float(evaluate(pretrained, data.test))
+    # the baseline is freed before evaluate_blob builds the decoded network
+    report.error_before = float(evaluate(load_checkpoint(_pretrained_path(cfg))[0],
+                                         data.test))
     report.error_after = float(evaluate_blob(blob, q, data.test))
     emit(f"compression rate {report.compression_rate:.2f}, test error "
          f"{report.error_before:.4f} -> {report.error_after:.4f}")

@@ -2,9 +2,12 @@
 
 The objective is L = L_err + tau * L_comp, where L_err is the mean
 cross-entropy over a batch and L_comp = -(log p(w) + hyper terms) covers
-the full weight set regardless of batch size. The prior pass reads the
-network's flat weight vector in place, and its weight gradient is added
-into the flat error gradient. Five Adam states step per retraining step:
+the full weight set regardless of batch size. retrain trains the network
+and the mixture it is given in place and returns the same objects, so a
+run holds one network. The prior pass reads the network's flat weight
+vector in place and adds -tau d log p / d w into the flat error gradient
+one chunk at a time, so a step holds one weight-sized gradient. Five Adam
+states step per retraining step:
 one over all weights, one over all biases (both at lr_weights), and one
 each for the means, log variances and logits at their own rates.
 Pretraining steps the same two network states, with L2 in place of the
@@ -64,6 +67,13 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 # core's L2 cache across the step's passes.
 ADAM_BLOCK = 16384
 
+# A finite gradient above about 1.3e154 overflows g * g: the second moment
+# would turn inf, and the next step would take inf - inf. The block holding
+# one steps on its gradient clipped to +-ADAM_CLIP instead, infinities kept;
+# 10 ADAM_CLIP and 1000 ADAM_CLIP^2, the largest m_hat and v_hat the clipped
+# values can make, are finite, and the clipped element moves by about lr.
+ADAM_CLIP = 2.0 ** 500
+
 
 class AdamState:
     """Standard Adam with bias correction, applied in place."""
@@ -82,6 +92,9 @@ class AdamState:
         rows. Each element sees the operations of the textbook expression
         -(lr * lr_scale) * m_hat / (sqrt(v_hat) + eps) in the same order, so
         the result is bit for bit that of computing it whole and adding it.
+        The one exception is a block in which some g * g overflows: it steps
+        on its gradient clipped to +-ADAM_CLIP, so every finite gradient
+        gives a finite update.
         """
         if param.shape != self.m.shape or grad.shape != self.m.shape:
             raise ConfigurationError(
@@ -96,9 +109,17 @@ class AdamState:
         neg_lr = -(self.lr * lr_scale)
         p, g = param.reshape(-1), grad.reshape(-1)
         m, v = self.m.reshape(-1), self.v.reshape(-1)
+        # no g * g overflows when their sum is finite: one BLAS dot rules
+        # it out for the whole step, and only otherwise is each block checked
+        check = not math.isfinite(g @ g)
         for lo in range(0, p.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, p.size)
             gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+            if check:
+                with np.errstate(over="ignore"):
+                    if np.isinf(gb * gb).any():
+                        gb = np.where(np.isinf(gb), gb,
+                                      np.clip(gb, -ADAM_CLIP, ADAM_CLIP))
             a, b = self._scratch[:, :hi - lo]
             np.subtract(gb, mb, out=a)          # m += (1 - b1) * (g - m)
             a *= 1.0 - ADAM_B1
@@ -167,12 +188,11 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
     Reads the retraining keys of cfg (retrain_epochs, batch_size, the four
     lr_* rates, subsample, seed) and its hyper-prior keys (hyper_config);
     tau comes from the mixture, which carries it into the SWSC checkpoint.
-    Mutates nothing: returns fresh (network, mixture, trace). With tau = 0
-    and no hyper-priors enabled the prior is never evaluated and the
-    mixture is returned bit-identical.
+    Trains net and mixture in place and returns them, with the trace, as
+    (net, mixture, trace); a caller that needs the untrained state passes
+    copies. The data are only read. With tau = 0 and no hyper-priors
+    enabled the prior is never evaluated and the mixture keeps its bits.
     """
-    net = net.copy()
-    mixture = mixture.copy()
     rng = np.random.default_rng(cfg.seed)
     hyper = cfg.hyper_config()
     tau = mixture.tau
@@ -203,14 +223,14 @@ def retrain(net: Network, mixture: MixtureModel, train_data: Batch,
         or the epoch-end snapshot allocates."""
         err_loss, d_weights, d_biases = error_loss_and_grad(net, batch)
         if use_prior:
+            # descent on L = L_err - tau * log joint: every gradient is the
+            # log-density gradient scaled by -tau, hyper terms included; the
+            # pass adds the weights' share into d_weights chunk by chunk
             if cfg.subsample and cfg.subsample < net.weight_count:
-                g = subsampled_prior_grads(net.weights, mixture, hyper, cfg.subsample, rng)
+                g = subsampled_prior_grads(net.weights, mixture, hyper, cfg.subsample,
+                                           rng, d_weights, -tau)
             else:
-                g = prior_grads(net.weights, mixture, hyper)
-            # descent on L = L_err - tau * log joint: every gradient is
-            # the log-density gradient scaled by -tau, hyper terms included
-            g.d_weights *= -tau     # in place: a copy is one more weight-sized array
-            d_weights += g.d_weights
+                g = prior_grads(net.weights, mixture, hyper, d_weights, -tau)
             adam_means.step(mixture.means, -tau * g.d_means, mixture_lr_scale)
             adam_log_vars.step(mixture.log_vars, -tau * g.d_log_vars, mixture_lr_scale)
             adam_logits.step(mixture.logits, -tau * g.d_logits, mixture_lr_scale)

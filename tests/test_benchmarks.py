@@ -49,7 +49,7 @@ def test_benchmark_script_writes_its_kernel_timings(script, kernels, result):
 
 def test_bench_kernels_writes_every_kernel_timing(result):
     assert set(result["kernels"]) == KERNELS
-    assert set(result["memory"]) == {"synthetic_digits", "evaluate_2000"}
+    assert set(result["memory"]) == {"synthetic_digits", "evaluate_2000", "retrain_epoch"}
     assert all(m["traced_peak_mib"] > 0 for m in result["memory"].values())
     assert result["environment"]["threads"].keys() >= {"OPENBLAS_NUM_THREADS"}
 

@@ -132,6 +132,16 @@ def test_labels_outside_the_output_layer_exit_2(tiny_config_file, capsys):
     assert "outside [0, 5)" in capsys.readouterr().err
 
 
+def test_a_network_too_big_to_decode_exits_2(tiny_config_file, tmp_path, capsys):
+    # 784 * 21400 + 21400 * 10 weights: the blob's reader would refuse it,
+    # so the run stops before it trains or writes anything
+    assert main(["run", *_cfg_args(tiny_config_file), "--quiet",
+                 "--set", "layer_sizes=784,21400,10"]) == 2
+    err = capsys.readouterr().err
+    assert "layer_sizes" in err and "16991600" in err and "16777216" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_refuses_a_baseline_of_other_layer_sizes(tiny_config_file, tmp_path, capsys):
     base = tmp_path / "baselines" / "tiny.swsc"
     named = ["--set", f"pretrained_checkpoint={base}"]
@@ -223,11 +233,11 @@ def test_numeric_errors_exit_4(tiny_config_file, monkeypatch, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_finite_mixture_exits_4(tiny_config_file, capsys):
-    # a Gamma pin this strong overflows Adam's second moment, and the
-    # spike's log-variance turns NaN
+    # a Gamma rate this large makes the objective's gradient in the spike's
+    # log-variance infinite, and Adam's step turns it NaN
     assert main(["pretrain", *_cfg_args(tiny_config_file), "--quiet"]) == 0
     assert main(["compress", *_cfg_args(tiny_config_file), "--quiet",
-                 "--set", "gamma_zero_alpha=1e300"]) == 4
+                 "--set", "gamma_zero_alpha=50", "--set", "gamma_zero_beta=1e308"]) == 4
     assert "numeric error" in capsys.readouterr().err
 
 

@@ -13,6 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+
+import softshare.codec as codec
 from hypothesis import strategies as st
 
 from softshare.codec import (
@@ -322,6 +324,21 @@ def test_encode_network_round_trip():
     assert report.payload_compression_rate > report.compression_rate
     d = dataclasses.asdict(report)
     assert d["layers"][0]["prune_fraction"] == q.prune_fraction(0)
+
+
+def test_encode_network_refuses_a_network_decode_network_would(monkeypatch):
+    # the encoder holds the decoder's cap on the total weights, so it never
+    # writes a blob its own reader refuses
+    q = _quantized_net()
+    blob, _ = encode_network(q)
+    monkeypatch.setattr(codec, "MAX_DECODED_WEIGHTS", 77)
+    with pytest.raises(DecodeError, match="more than 77 weights"):
+        decode_network(blob)
+    with pytest.raises(ConfigurationError, match="of 78 weights: a blob may hold at most 77"):
+        encode_network(q)
+    monkeypatch.setattr(codec, "MAX_DECODED_WEIGHTS", 78)
+    assert encode_network(q)[0] == blob
+    assert len(decode_network(blob)) == 2
 
 
 def test_decode_network_rejects_corruption():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from softshare.codec import MAX_DECODED_WEIGHTS
 from softshare.config import (
     ExperimentConfig,
     load_config,
@@ -35,6 +36,15 @@ def test_validation_rejects_bad_combinations():
         ExperimentConfig(p_fc=0)
     ExperimentConfig(dataset="mnist", data_dir="/tmp/x")  # ok with a dir
     ExperimentConfig(kl_threshold=0.0)  # boundary is legal
+
+
+def test_layer_sizes_make_at_most_the_weights_a_blob_may_hold():
+    ExperimentConfig(layer_sizes=(1, MAX_DECODED_WEIGHTS))
+    with pytest.raises(ConfigurationError,
+                       match=r"^layer_sizes make 16777217 weights, more than the 16777216"):
+        ExperimentConfig(layer_sizes=(1, MAX_DECODED_WEIGHTS + 1))
+    with pytest.raises(ConfigurationError, match="layer_sizes make 16991600 weights"):
+        ExperimentConfig(layer_sizes=(784, 21400, 10))
 
 
 @pytest.mark.parametrize("key, value", [

@@ -507,6 +507,33 @@ def test_validator_rejects_nonzero_spike_mean():
         MixtureModel(np.array([0.1, 0.5]), np.zeros(2), np.zeros(2), 0.9)
 
 
+@pytest.mark.parametrize("k", [None, 7], ids=["exact", "subsampled"])
+def test_the_pass_adds_its_scaled_weight_gradient_into_the_callers_vector(k):
+    # the trainer hands over its error gradient and -tau; adding chunk by
+    # chunk must round as scaling the whole weight gradient and adding it
+    rng = np.random.default_rng(54)
+    m = _mix(rng)
+    w = rng.normal(0.0, 0.4, 2 * CHUNK + 3)
+    d_err = rng.normal(size=w.size)
+    tau = 1e-3
+
+    def grads(into=None, scale=1.0):
+        if k is None:
+            return prior_grads(w, m, None, into, scale)
+        return subsampled_prior_grads(w, m, None, k, np.random.default_rng(3), into, scale)
+
+    alone = grads()
+    want = d_err + alone.d_weights * -tau
+    into = d_err.copy()
+    got = grads(into, -tau)
+    assert got.d_weights is into
+    assert into.tobytes() == want.tobytes()
+    for name in ("d_means", "d_log_vars", "d_logits"):
+        assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+    with pytest.raises(ConfigurationError, match="weight gradient of shape"):
+        grads(np.zeros(w.size - 1), -tau)
+
+
 class TestSubsampling:
     def test_full_size_is_exact(self):
         rng = np.random.default_rng(50)

@@ -96,6 +96,37 @@ def test_blocked_adam_is_bit_identical_to_whole_array_adam(shape, lr_scale):
     assert adam.v.tobytes() == ref.v.tobytes()
 
 
+def test_adam_gives_a_finite_update_for_every_finite_gradient():
+    # g * g overflows above about 1.3e154, which would leave the second
+    # moment inf and the next step inf - inf; the gradient is clipped to
+    # +-ADAM_CLIP in that block only, so every other element keeps the bits
+    # of the textbook expression and the huge one moves by about lr
+    n, huge_at = ADAM_BLOCK + 5, ADAM_BLOCK + 2
+    rng = np.random.default_rng(3)
+    param = rng.normal(size=n)
+    ref_param = param.copy()
+    adam, ref = AdamState((n,), lr=1e-3), _WholeArrayAdam((n,), lr=1e-3)
+    others = np.arange(n) != huge_at
+    for huge in (1e200, -1.7e308, 1e160, 1e160):
+        grad = rng.normal(size=n)
+        grad[huge_at] = huge
+        before = param[huge_at]
+        adam.step(param, grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_param += ref.step(grad)
+        assert np.isfinite(param).all() and np.isfinite(adam.v).all()
+        assert abs(param[huge_at] - before) < 10 * adam.lr
+        assert param[others].tobytes() == ref_param[others].tobytes()
+        assert adam.v[others].tobytes() == ref.v[others].tobytes()
+    assert not np.isfinite(ref_param[huge_at])
+    # an infinite gradient is not clipped: its update stays non-finite
+    grad = np.zeros(n)
+    grad[huge_at] = np.inf
+    with np.errstate(invalid="ignore"):
+        adam.step(param, grad)
+    assert not np.isfinite(param[huge_at]) and np.isfinite(param[others]).all()
+
+
 def test_adam_refuses_a_param_it_would_update_as_a_copy():
     adam = AdamState((4, 3), lr=1e-3)
     param = np.zeros((3, 4)).T      # right shape, Fortran order
@@ -181,23 +212,30 @@ def test_no_step_array_outlives_its_step():
         retrain(net, mx, data, cfg, test_data=data, on_epoch=on_epoch)
     finally:
         tracemalloc.stop()
-    # the retrained weights and their two Adam moments; the last step's
-    # batch, gradients or weight copies would add blocks of w0 bytes or more
-    assert live == [[w0] * 3] * 2
+    # the two Adam moments of the weights, which retrain trains in place;
+    # the last step's batch, gradients or weight copies would add blocks of
+    # w0 bytes or more
+    assert live == [[w0] * 2] * 2
 
 
-def test_retrain_does_not_mutate_inputs():
+def test_retrain_trains_its_inputs_in_place():
     net, mx, data = _tiny_problem()
-    w_before = net.weights.copy()
-    means_before = mx.means.copy()
-    x_before = data.inputs.copy()
-    net2, mx2, trace = retrain(net, mx, data,
-                               ExperimentConfig(retrain_epochs=2, batch_size=16))
-    np.testing.assert_array_equal(net.weights, w_before)
-    np.testing.assert_array_equal(mx.means, means_before)
+    w_before, means_before = net.weights.copy(), mx.means.copy()
+    x_before, y_before = data.inputs.copy(), data.labels.copy()
+    cfg = ExperimentConfig(retrain_epochs=2, batch_size=16)
+    ref_net, ref_mx, _ = retrain(net.copy(), mx.copy(), data, cfg)
+    net2, mx2, trace = retrain(net, mx, data, cfg)
+    assert net2 is net and mx2 is mx
+    assert not np.array_equal(net.weights, w_before)
+    assert not np.array_equal(mx.means, means_before)
+    # trained exactly as a copy is
+    assert net.weights.tobytes() == ref_net.weights.tobytes()
+    assert net.biases.tobytes() == ref_net.biases.tobytes()
+    assert mx.means.tobytes() == ref_mx.means.tobytes()
+    assert mx.log_vars.tobytes() == ref_mx.log_vars.tobytes()
+    # the data are only read
     np.testing.assert_array_equal(data.inputs, x_before)
-    assert net2 is not net and mx2 is not mx
-    assert len(trace) == 2
+    np.testing.assert_array_equal(data.labels, y_before)
     assert [r.epoch for r in trace] == [1, 2]
 
 
@@ -210,7 +248,7 @@ def test_tau_zero_without_hyper_skips_prior_entirely(monkeypatch):
     monkeypatch.setattr(train_mod, "prior_grads", boom)
     monkeypatch.setattr(train_mod, "subsampled_prior_grads", boom)
     monkeypatch.setattr(train_mod, "log_prior", boom)
-    net2, mx2, trace = retrain(net, mx, data,
+    net2, mx2, trace = retrain(net.copy(), mx.copy(), data,
                                ExperimentConfig(retrain_epochs=2, batch_size=16))
     np.testing.assert_array_equal(mx2.means, mx.means)
     np.testing.assert_array_equal(mx2.log_vars, mx.log_vars)
@@ -222,7 +260,7 @@ def test_tau_zero_without_hyper_skips_prior_entirely(monkeypatch):
 
 def test_fixed_quantities_stay_bit_identical():
     net, mx, data = _tiny_problem(tau=1e-3)
-    net2, mx2, _ = retrain(net, mx, data,
+    net2, mx2, _ = retrain(net.copy(), mx.copy(), data,
                            ExperimentConfig(retrain_epochs=3, batch_size=16))
     assert mx2.means[0] == 0.0
     assert mx2.logits[0] == mx.logits[0]  # dead slot in fixed-pi0 mode
@@ -236,7 +274,7 @@ def test_tau_scales_the_hyper_prior_terms_too():
                            gamma_zero_alpha=50.0, gamma_zero_beta=1.0,
                            gamma_rest_alpha=20.0, gamma_rest_beta=1.0)
     net, mx, data = _tiny_problem(tau=0.0)
-    net2, mx2, _ = retrain(net, mx, data, cfg)
+    net2, mx2, _ = retrain(net.copy(), mx.copy(), data, cfg)
     for got, want in ((mx2.means, mx.means), (mx2.log_vars, mx.log_vars),
                       (mx2.logits, mx.logits)):
         assert got.tobytes() == want.tobytes()
@@ -283,13 +321,15 @@ def test_non_finite_complexity_raises_divergence_error(monkeypatch):
 
 
 def test_a_non_finite_mixture_step_raises_divergence_error():
-    # a Gamma pin this strong overflows Adam's second moment of the spike's
-    # log-variance, which turns NaN in the second step, before any epoch ends
+    # a Gamma rate this large makes beta * precision, and so the objective's
+    # gradient in the spike's log-variance, infinite; Adam's step on it is
+    # NaN in the first step, before any epoch ends
     net, mx, data = _tiny_problem(tau=1e-3)
-    cfg = ExperimentConfig(retrain_epochs=2, batch_size=16, gamma_zero_alpha=1e300)
+    cfg = ExperimentConfig(retrain_epochs=2, batch_size=16, gamma_zero_alpha=50.0,
+                           gamma_zero_beta=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(DivergenceError, match="log_vars at epoch 1, step 2$") as exc_info:
+        with pytest.raises(DivergenceError, match="log_vars at epoch 1, step 1$") as exc_info:
             retrain(net, mx, data, cfg)
     err = exc_info.value
     assert not np.isfinite(err.mixture.log_vars).all()
@@ -300,21 +340,21 @@ def test_a_non_finite_mixture_step_raises_divergence_error():
 def test_subsampled_training_runs():
     net, mx, data = _tiny_problem(tau=1e-3)
     cfg = ExperimentConfig(retrain_epochs=2, batch_size=16, subsample=7, seed=3)
-    net2, mx2, trace = retrain(net, mx, data, cfg)
+    net2, mx2, trace = retrain(net.copy(), mx.copy(), data, cfg)
     assert np.all(np.isfinite(net2.weights))
     assert np.all(np.isfinite(mx2.log_vars))
     # a subsample at least as large as the weight count means exact gradients
     cfg_big = ExperimentConfig(retrain_epochs=1, batch_size=16, subsample=10**9, seed=3)
     cfg_exact = ExperimentConfig(retrain_epochs=1, batch_size=16, subsample=0, seed=3)
-    n3, m3, _ = retrain(net, mx, data, cfg_big)
-    n4, m4, _ = retrain(net, mx, data, cfg_exact)
+    n3, m3, _ = retrain(net.copy(), mx.copy(), data, cfg_big)
+    n4, m4, _ = retrain(net.copy(), mx.copy(), data, cfg_exact)
     np.testing.assert_array_equal(n3.weights, n4.weights)
     np.testing.assert_array_equal(m3.log_vars, m4.log_vars)
 
 
 def test_trace_rows_snapshot_state():
     net, mx, data = _tiny_problem(tau=1e-3)
-    net2, mx2, trace = retrain(net, mx, data,
+    net2, mx2, trace = retrain(net.copy(), mx.copy(), data,
                                ExperimentConfig(retrain_epochs=2, batch_size=16),
                                test_data=data)
     row = trace[-1]
@@ -323,7 +363,7 @@ def test_trace_rows_snapshot_state():
     assert 0.0 <= row.test_error <= 1.0
     assert math.isfinite(row.complexity_loss)
     # without test data the column is nan
-    _, _, trace2 = retrain(net, mx, data,
+    _, _, trace2 = retrain(net.copy(), mx.copy(), data,
                            ExperimentConfig(retrain_epochs=1, batch_size=16))
     assert math.isnan(trace2[0].test_error)
 
@@ -362,9 +402,11 @@ def test_complexity_loss_includes_hyper_terms():
     assert math.isfinite(with_hyper)
 
 
-def test_zero_epochs_returns_copies_with_empty_trace():
+def test_zero_epochs_returns_its_inputs_untouched_with_empty_trace():
     net, mx, data = _tiny_problem()
+    w_before, means_before = net.weights.copy(), mx.means.copy()
     net2, mx2, trace = retrain(net, mx, data, ExperimentConfig(retrain_epochs=0))
     assert trace == []
-    np.testing.assert_array_equal(net2.weights, net.weights)
-    np.testing.assert_array_equal(mx2.means, mx.means)
+    assert net2 is net and mx2 is mx
+    assert net.weights.tobytes() == w_before.tobytes()
+    assert mx.means.tobytes() == means_before.tobytes()
